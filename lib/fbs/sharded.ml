@@ -1,11 +1,16 @@
 (* Domain-sharded datapath.  See sharded.mli for the model.
 
    The dispatch loop is deliberately bulk-synchronous: classify and
-   partition a whole batch on the calling domain, fan the per-shard
-   buckets out with Domain_shim.parallel_run, join, return results in
-   input order.  No cross-domain queues, no locks — each shard engine is
-   touched by exactly one domain per batch, and the dispatcher-side
-   state (FAM, confounder LCG) is touched only between fan-outs. *)
+   partition a whole batch on the calling domain, hand the per-shard
+   buckets to Domain_shim.parallel_run (bucket 0 on the caller, the rest
+   on the process-wide pool of parked worker domains), wait for all of
+   them, return results in input order.  No cross-domain queues and no
+   locks in this module — the only synchronisation is the pool's
+   per-worker handoff — so each shard engine is touched by exactly one
+   domain per batch, and the dispatcher-side state (FAM, confounder LCG)
+   is touched only between fan-outs.  Which worker runs a given shard
+   may change between batches; the engines keep no domain-local state,
+   and the crypto scratch that is domain-local persists per worker. *)
 
 type t = {
   nshards : int;
@@ -72,8 +77,8 @@ let buckets_of t shard_of n =
   buckets
 
 (* Fan non-empty buckets out to domains.  Each thunk writes disjoint
-   slots of [results]; the joins in parallel_run publish them back.
-   [after] runs on the shard's domain once its bucket is drained —
+   slots of [results]; parallel_run's wait on each worker publishes them
+   back.  [after] runs on the shard's domain once its bucket is drained —
    the receive path's end-of-bucket batch flush. *)
 let run_buckets ?(after = fun (_ : int) -> ()) t buckets per_index =
   let thunks =

@@ -1,6 +1,17 @@
 (** Domain-sharded datapath: N independent engines, each owning the
     TFKC/RFKC/replay/key-schedule state for the flows whose sfl hashes to
-    it, driven in bulk-synchronous batches with one domain per shard.
+    it, driven in bulk-synchronous batches with one domain per non-empty
+    shard bucket.
+
+    A batch does not create domains.  The calling domain runs the first
+    bucket and the rest go to {!Fbsr_util.Domain_shim.parallel_run}'s
+    process-wide worker pool, whose domains park between batches and
+    live until the process exits; a [t] owns no domains and needs no
+    close.  Each worker keeps its domain-local crypto scratch (bitsliced
+    DES, MD5, SHA1) from batch to batch.  A [send_all]/[receive_all]
+    entered while the pool is busy (from inside another batch's thunk,
+    or on another domain at the same moment) runs its buckets
+    sequentially on its own domain, with the same results.
 
     Shard selection is [crc32(sfl) mod nshards].  The sfl is the first
     field of the wire header, so the receive side routes without parsing;

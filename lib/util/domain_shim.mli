@@ -34,9 +34,16 @@ val local_set : 'a local -> 'a -> unit
 
 val parallel_run : (unit -> 'a) array -> 'a array
 (** [parallel_run thunks] runs every thunk and returns their results in
-    order.  On OCaml 5 thunk 0 runs on the calling domain and the rest
-    on freshly spawned domains; on 4.14 (or when parallelism is
-    unavailable, or with fewer than two thunks) they run sequentially.
-    If any thunk raises, every other thunk still runs to completion
-    (domains are always joined) and the lowest-index exception is
-    re-raised afterwards. *)
+    order.  On OCaml 5 thunk 0 runs on the calling domain and thunk [i]
+    on worker [i - 1] of a process-wide pool.  The pool is grown lazily
+    to the largest [n - 1] ever requested and its workers live, parked
+    on a mutex and condition between calls, until the process exits, so
+    each worker's domain-local state (the {!local_make} crypto scratch)
+    is built once, not once per call.  On 4.14, when parallelism is
+    unavailable, with fewer than two thunks, or when the pool is already
+    in use — a nested call from inside a thunk, or another domain's
+    concurrent call — the thunks run sequentially on the calling domain
+    instead, under the same contract.  If any thunk raises, every other
+    thunk still runs to completion (the call returns only after every
+    worker has finished) and the lowest-index exception is re-raised
+    afterwards; the worker that ran the raising thunk keeps serving. *)

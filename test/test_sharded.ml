@@ -39,7 +39,49 @@ let test_parallel_run_exception () =
   | (_ : unit array) -> Alcotest.fail "expected Boom"
   | exception Boom 2 -> ());
   check Alcotest.(array bool) "every thunk still ran" [| true; true; true; true |]
-    ran
+    ran;
+  (* The raising thunk ran on a pooled worker; the pool must still serve. *)
+  check (Alcotest.array Alcotest.int) "pool serves after a raise"
+    [| 0; 1; 2; 3 |]
+    (Fbsr_util.Domain_shim.parallel_run (Array.init 4 (fun i () -> i)))
+
+(* Workers outlive the call: a domain-local slot is initialised once per
+   domain that ever touches it, so 200 two-thunk calls must reuse the
+   same few domains rather than build one per call. *)
+let test_parallel_run_reuses_domains () =
+  let inits = Atomic.make 0 in
+  let slot =
+    Fbsr_util.Domain_shim.local_make (fun () ->
+        Atomic.incr inits;
+        ref 0)
+  in
+  for _ = 1 to 200 do
+    ignore
+      (Fbsr_util.Domain_shim.parallel_run
+         (Array.make 2 (fun () -> incr (Fbsr_util.Domain_shim.local_get slot)))
+        : unit array)
+  done;
+  let bound = Fbsr_util.Domain_shim.recommended_domain_count () + 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d slot initialisations <= %d" (Atomic.get inits) bound)
+    true
+    (Atomic.get inits <= bound)
+
+(* A thunk that itself calls parallel_run finds the pool busy and runs its
+   inner batch sequentially; the outer thunks make those inner calls from
+   several domains at once, so this covers nested and concurrent entry. *)
+let test_parallel_run_reentrant () =
+  let outer =
+    Fbsr_util.Domain_shim.parallel_run
+      (Array.init 4 (fun i () ->
+           Fbsr_util.Domain_shim.parallel_run
+             (Array.init 5 (fun j () -> (10 * i) + j))))
+  in
+  check
+    Alcotest.(array (array int))
+    "nested results in order"
+    (Array.init 4 (fun i -> Array.init 5 (fun j -> (10 * i) + j)))
+    outer
 
 (* --- Zipf sampler --- *)
 
@@ -288,6 +330,10 @@ let () =
             test_parallel_run_order;
           Alcotest.test_case "parallel_run joins before raising" `Quick
             test_parallel_run_exception;
+          Alcotest.test_case "parallel_run reuses worker domains" `Quick
+            test_parallel_run_reuses_domains;
+          Alcotest.test_case "parallel_run nested and concurrent calls" `Quick
+            test_parallel_run_reentrant;
         ] );
       ( "zipf",
         [
