@@ -102,7 +102,7 @@ let es_sha1ctr, ed_sha1ctr, src_sha1ctr, attrs_sha1ctr, wire_sha1ctr =
   fbs_fixture Fbsr_fbs.Suite.hmac_sha1_ctr ~secret:true
 
 (* Combined fast path fixture (Section 7.2): warm table + sealed sends. *)
-let fp_engine, fp_table, fp_flow_key =
+let fp_engine, fp_table, fp_entry, fp_src_p, fp_dst_p =
   let p = Fbsr_experiments.Fixture.engine_pair ~suite:suite_paper () in
   let s = p.Fbsr_experiments.Fixture.src and d = p.Fbsr_experiments.Fixture.dst in
   let es = p.Fbsr_experiments.Fixture.sender in
@@ -118,12 +118,13 @@ let fp_engine, fp_table, fp_flow_key =
     | Fbsr_fbs_ip.Fast_path.Miss sfl -> sfl
     | Fbsr_fbs_ip.Fast_path.Hit (sfl, _) -> sfl
   in
-  let key = ref "" in
+  let entry = ref None in
   Fbsr_fbs.Engine.derive_flow_key es ~sfl ~src:s ~dst:d (function
-    | Ok k -> key := k
+    | Ok e -> entry := Some e
     | Error _ -> failwith "bench fixture: derive failed");
-  Fbsr_fbs_ip.Fast_path.install_key fp ~sfl ~flow_key:!key;
-  (es, fp, !key)
+  let entry = Option.get !entry in
+  Fbsr_fbs_ip.Fast_path.install_entry fp ~sfl ~entry;
+  (es, fp, entry, s, d)
 
 let fp_src = "10.9.0.1"
 let fp_dst = "10.9.0.2"
@@ -225,7 +226,8 @@ let fbs_tests =
         (stage (fun () ->
              let i = !batch_i in
              batch_i := if i + 1 = Array.length batch_attrs then 0 else i + 1;
-             Fbsr_fbs.Engine.send_batched send_batch ~now:60.0
+             Fbsr_fbs.Engine.send ~batch:send_batch
+               batch_pair.Fbsr_experiments.Fixture.sender ~now:60.0
                ~attrs:(Array.unsafe_get batch_attrs i) ~secret:true ~payload:datagram
                (fun _ -> ())));
       Test.make ~name:"send-des+md5-scalar-1460B"
@@ -243,9 +245,10 @@ let fbs_tests =
         (stage (fun () ->
              let i = !rx_batch_i in
              rx_batch_i := if i + 1 = Array.length rx_batch_wires then 0 else i + 1;
-             Fbsr_fbs.Engine.receive_batched rx_batch ~now:60.0
+             Fbsr_fbs.Engine.receive ~batch:rx_batch
+               batch_pair.Fbsr_experiments.Fixture.receiver ~now:60.0
                ~src:batch_pair.Fbsr_experiments.Fixture.src
-               ~wire:(Array.unsafe_get rx_batch_wires i)
+               ~wire:(Fbsr_util.Slice.of_string (Array.unsafe_get rx_batch_wires i))
                (fun _ -> ())));
       Test.make ~name:"send-auth-only-1460B"
         (stage (fun () ->
@@ -292,15 +295,16 @@ let fbs_tests =
                Fbsr_fbs_ip.Fast_path.lookup fp_table ~now:60.0 ~protocol:17 ~src:fp_src
                  ~src_port:1000 ~dst:fp_dst ~dst_port:2000
              with
-             | Fbsr_fbs_ip.Fast_path.Hit (sfl, flow_key) ->
-                 Fbsr_fbs.Engine.send_sealed fp_engine ~now:60.0 ~sfl ~flow_key
-                   ~secret:true ~payload:datagram
+             | Fbsr_fbs_ip.Fast_path.Hit (sfl, entry) ->
+                 Fbsr_fbs.Engine.send_flow ~entry fp_engine ~now:60.0 ~sfl
+                   ~src:fp_src_p ~dst:fp_dst_p ~secret:true ~payload:datagram
+                   (fun _ -> ())
              | Fbsr_fbs_ip.Fast_path.Miss _ -> failwith "unexpected miss"));
       Test.make ~name:"seal-only-1460B"
         (stage (fun () ->
-             Fbsr_fbs.Engine.seal fp_engine ~now:60.0
-               ~sfl:(Fbsr_fbs.Sfl.of_int64 42L) ~flow_key:fp_flow_key ~secret:true
-               ~payload:datagram));
+             Fbsr_fbs.Engine.send_flow ~entry:fp_entry fp_engine ~now:60.0
+               ~sfl:(Fbsr_fbs.Sfl.of_int64 42L) ~src:fp_src_p ~dst:fp_dst_p
+               ~secret:true ~payload:datagram (fun _ -> ())));
       (* Figure 11's unit of work: a flow-key cache probe. *)
       Test.make ~name:"cache-hit"
         (stage (fun () -> Fbsr_fbs.Cache.find cache (42L, "10.9.0.2", "10.9.0.1")));
@@ -499,7 +503,7 @@ let telemetry_bench () =
     in
     (p, Fbsr_fbs.Engine.Batch.create p.Fbsr_experiments.Fixture.sender, attrs)
   in
-  let _, base_batch, base_attrs = mk None in
+  let base_pair, base_batch, base_attrs = mk None in
   let tel_flowstats = Fbsr_fbs.Flowstats.create () in
   let tel_pair, tel_batch, tel_attrs =
     mk (Some (fun () -> tel_flowstats))
@@ -513,15 +517,15 @@ let telemetry_bench () =
   in
   let tel_health = Fbsr_fbs.Health.create ~ts:tel_ts () in
   let tel_now = ref 60.0 in
-  let send batch attrs i =
-    Fbsr_fbs.Engine.send_batched batch ~now:60.0
+  let send (p : Fbsr_experiments.Fixture.t) batch attrs i =
+    Fbsr_fbs.Engine.send ~batch p.Fbsr_experiments.Fixture.sender ~now:60.0
       ~attrs:(Array.unsafe_get attrs (i mod Array.length attrs))
       ~secret:true ~payload:datagram
       (fun _ -> ())
   in
   let base_block () =
     for i = 0 to telemetry_block - 1 do
-      send base_batch base_attrs i
+      send base_pair base_batch base_attrs i
     done
   in
   let tel_block () =
@@ -530,7 +534,7 @@ let telemetry_bench () =
       tel_now := now;
       Fbsr_util.Timeseries.tick tel_ts ~now;
       Fbsr_fbs.Health.check tel_health ~now;
-      send tel_batch tel_attrs i
+      send tel_pair tel_batch tel_attrs i
     done
   in
   (* warm both twins: every flow key derived, every lane exercised *)
@@ -770,7 +774,7 @@ let datapath_json () =
   ignore header;
   let flow_key = ref "" in
   Fbsr_fbs.Engine.derive_flow_key es ~sfl ~src:p.Fixture.src ~dst:p.Fixture.dst (function
-    | Ok k -> flow_key := k
+    | Ok e -> flow_key := Fbsr_fbs.Engine.flow_entry_key e
     | Error _ -> failwith "datapath bench: flow key derivation failed");
   let flow_key = !flow_key in
   let rc = Reference.create_counters () in

@@ -146,11 +146,6 @@ type t = {
   (* Per-flow heavy-hitter attribution (sfl-keyed sketches); [Flowstats.none]
      keeps the datapath at one branch per quantity. *)
   flowstats : Flowstats.t;
-  (* One-entry memo for the string-keyed [seal]/[send_sealed] path (the
-     combined FST+TFKC fast path supplies raw flow keys from its own
-     table): reuses the expanded schedules as long as consecutive calls
-     present the same flow key. *)
-  mutable seal_memo : flow_entry option;
 }
 
 let triple_hash (sfl, peer, local) =
@@ -221,7 +216,6 @@ let create ?(suite = Suite.paper_md5_des) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
     trace;
     spans;
     flowstats;
-    seal_memo = None;
     counters;
   }
 
@@ -383,31 +377,310 @@ let flow_key_via t cache ~sfl ~peer ~src ~dst (k : (flow_entry, error) result ->
               ~master:(Keying.last_resolution t.keying);
             k (Ok entry))
 
-(* Steps S4-S10 of Figure 4, given the flow key: confounder, timestamp,
-   MAC, optional encryption, header insertion.  Exposed so the Section 7.2
-   combined FST+TFKC fast path can supply (sfl, flow key) from its own
-   table and skip the separate FAM and TFKC lookups.
+(* Flow-key derivation without consulting the TFKC — the combined fast
+   path's miss: the caller caches the returned entry in its own table, so
+   the entry's schedules and MAC midstate live as long as that slot. *)
+let derive_flow_key t ~sfl ~src ~dst (k : (flow_entry, error) result -> unit) =
+  Keying.get_master t.keying dst (function
+    | Error e -> k (Error (Keying_error e))
+    | Ok master ->
+        t.counters.flow_key_computations <- t.counters.flow_key_computations + 1;
+        k
+          (Ok
+             (flow_entry_of_key
+                (Keying.flow_key ~hash:t.suite.Suite.kdf_hash ~sfl ~master ~src ~dst))))
+
+type accepted = {
+  header : Header.t;
+  payload : string; (* plaintext body *)
+  peer : Principal.t;
+}
+
+(* Terminal span of the receive pipeline: exactly one per received
+   datagram, carrying the verdict — "delivered" or "drop:<cause>", the
+   causes mirroring [drops_by_cause].  A top-level function taking the
+   optional timer keeps the disabled path a constant [None] with no
+   closure allocation at the exit points. *)
+let conclude_receive t (tm : (Fbsr_util.Span.timer * int64) option) outcome =
+  match tm with
+  | None -> ()
+  | Some (stm, id) ->
+      Fbsr_util.Span.finish t.spans stm ~id ~outcome "engine.receive"
+
+(* Account one receive-side refusal — its cause counter, the flow's drop
+   attribution (header-decode failures carry no flow) and the terminal
+   span — and return it as the verdict. *)
+let refuse t tm ?sfl e =
+  let c = t.counters in
+  let outcome =
+    match e with
+    | Header_error _ ->
+        c.errors_header <- c.errors_header + 1;
+        "drop:header"
+    | Stale _ ->
+        c.errors_stale <- c.errors_stale + 1;
+        "drop:stale"
+    | Duplicate ->
+        c.errors_duplicate <- c.errors_duplicate + 1;
+        "drop:duplicate"
+    | Keying_error _ ->
+        c.errors_keying <- c.errors_keying + 1;
+        "drop:keying"
+    | Bad_mac ->
+        c.errors_mac <- c.errors_mac + 1;
+        "drop:mac"
+    | Decrypt_error ->
+        c.errors_decrypt <- c.errors_decrypt + 1;
+        "drop:decrypt"
+  in
+  (match sfl with Some sfl -> note_flow_drop t sfl | None -> ());
+  conclude_receive t tm outcome;
+  Error e
+
+(* Hand a verdict to its continuation under the datagram's trace id: the
+   keying continuation or a batch flush may run in a later event, and an
+   acknowledgement sent from the handler opens its own trace, which this
+   scope then restores. *)
+let deliver_under tm k r =
+  match tm with
+  | Some (_, id) -> Fbsr_util.Span.with_current id (fun () -> k r)
+  | None -> k r
+
+(* R7-R12 once the body is recovered: verify the MAC over the plaintext
+   and deliver the verdict.  [plaintext] is either a fresh string the
+   verdict hands out as-is ([owned]: a decrypted body), or a view of the
+   wire buffer, copied out only on acceptance (the slice must not outlive
+   the wire). *)
+let verify_and_deliver t tm ~now ~peer ~entry ~(v : Header.view) ~owned
+    (plaintext : Fbsr_util.Slice.t) k =
+  let module A = (val t.armor : Armor.S) in
+  if
+    A.verify_mac t.actx entry ~secret:v.Header.v_secret
+      ~confounder:v.Header.v_confounder ~timestamp:v.Header.v_timestamp
+      ~payload:plaintext ~expected:v.Header.v_mac
+  then begin
+    t.counters.accepted <- t.counters.accepted + 1;
+    track_inbound t ~now ~sfl:v.Header.v_sfl ~peer
+      ~bytes:(Fbsr_util.Slice.length plaintext);
+    conclude_receive t tm "delivered";
+    let payload =
+      if owned then plaintext.Fbsr_util.Slice.base
+      else begin
+        t.counters.datapath_allocs <- t.counters.datapath_allocs + 1;
+        t.counters.bytes_copied <-
+          t.counters.bytes_copied + Fbsr_util.Slice.length plaintext;
+        Fbsr_util.Slice.to_string plaintext
+      end
+    in
+    deliver_under tm k (Ok { header = Header.to_header v; payload; peer })
+  end
+  else deliver_under tm k (refuse t tm ~sfl:v.Header.v_sfl Bad_mac)
+
+(* The queue skeleton of cross-flow batching, shared by [Batch] (deferred
+   body seals) and [Batch_rx] (deferred body opens).  CBC serializes
+   blocks {e within} a flow but not {e across} flows, so a direction's
+   batchable bodies park here; a capacity-filling enqueue, an explicit
+   [flush] or a [tick] past [linger] drains them all, in enqueue order,
+   into [run] — the direction's kernel pass through
+   {!Fbsr_crypto.Des_bitslice} followed by its in-order deliveries, so a
+   caller never observes a half-processed datagram. *)
+module Pending = struct
+  type 'a queue = {
+    engine : t;
+    threshold : int;
+    capacity : int;
+    linger : float;
+    items : 'a Queue.t;
+    mutable oldest : float; (* enqueue time of the head item *)
+    mutable on_park : unit -> unit;
+        (* fires on every enqueue that leaves the item parked (no
+           capacity flush) — including late enqueues from a resumed
+           keying continuation, which the original caller cannot observe
+           synchronously *)
+    run : t -> threshold:int -> 'a array -> int * int;
+  }
+
+  let create what ~run ?(threshold = 24)
+      ?(capacity = Fbsr_crypto.Des_bitslice.lanes) ?(linger = 0.001) engine =
+    if capacity < 1 then invalid_arg ("Engine." ^ what ^ ".create: capacity < 1");
+    if linger < 0. then invalid_arg ("Engine." ^ what ^ ".create: negative linger");
+    {
+      engine;
+      threshold;
+      capacity;
+      linger;
+      items = Queue.create ();
+      oldest = 0.;
+      on_park = ignore;
+      run;
+    }
+
+  let pending q = Queue.length q.items
+
+  let flush q =
+    if Queue.is_empty q.items then (0, 0)
+    else begin
+      (* Explicit drain: [Array.init]'s evaluation order is unspecified,
+         and delivery order must be enqueue order. *)
+      let n = Queue.length q.items in
+      let items = Array.make n (Queue.peek q.items) in
+      for i = 0 to n - 1 do
+        items.(i) <- Queue.pop q.items
+      done;
+      q.run q.engine ~threshold:q.threshold items
+    end
+
+  (* Time-based flush: a partial batch older than [linger] stops waiting
+     for lanes and ships.  Call from the event loop / timer wheel.  Every
+     flush drains the whole queue, so the head's age is the age of the
+     first enqueue since the last flush. *)
+  let tick q ~now =
+    if (not (Queue.is_empty q.items)) && now -. q.oldest >= q.linger then
+      Some (flush q)
+    else None
+
+  let add q ~now item =
+    if Queue.is_empty q.items then q.oldest <- now;
+    Queue.add item q.items;
+    if Queue.length q.items >= q.capacity then ignore (flush q : int * int)
+    else q.on_park ()
+end
+
+let check_batch what t = function
+  | Some q when q.Pending.engine != t ->
+      invalid_arg ("Engine." ^ what ^ ": batch bound to another engine")
+  | _ -> ()
+
+(* Deferred seals: each item's wire is fully assembled (header, MAC,
+   reserved body region) and aliases its job's destination, so running
+   the job completes the already-issued string. *)
+module Batch = struct
+  type item = {
+    job : Armor.job;
+    wire : string; (* aliases the job's destination; complete after flush *)
+    deliver : (string, error) result -> unit;
+    span : (Fbsr_util.Span.timer * int64 * (string * Fbsr_util.Json.t) list) option;
+        (* the deferred ["engine.seal"] span, finished at flush *)
+  }
+
+  type batch = item Pending.queue
+
+  let run t ~threshold items =
+    let counts =
+      let module A = (val t.armor : Armor.S) in
+      match A.batch with
+      | Some ops -> ops.Armor.run ~threshold (Array.map (fun s -> s.job) items)
+      | None -> assert false (* jobs only enqueue through the armor's ops *)
+    in
+    Array.iter
+      (fun s ->
+        match s.span with
+        | Some (tm, id, detail) ->
+            Fbsr_util.Span.finish t.spans tm ~id "engine.seal" ~detail;
+            Fbsr_util.Span.with_current id (fun () -> s.deliver (Ok s.wire))
+        | None -> s.deliver (Ok s.wire))
+      items;
+    counts
+
+  let create ?threshold ?capacity ?linger engine : batch =
+    Pending.create "Batch" ~run ?threshold ?capacity ?linger engine
+
+  let pending = Pending.pending
+  let flush = Pending.flush
+  let tick = Pending.tick
+end
+
+(* Deferred opens: the receive prologue, replay registration and RFKC
+   probe already ran at enqueue; the item keeps the header view (which,
+   like the job, borrows the wire until the flush) for the MAC verify. *)
+module Batch_rx = struct
+  type item = {
+    job : Armor.job;
+    entry : flow_entry;
+    view : Header.view;
+    plaintext : string; (* aliases the job's output; complete after flush *)
+    peer : Principal.t;
+    deliver : (accepted, error) result -> unit;
+    arrived : float;
+    tm : (Fbsr_util.Span.timer * int64) option;
+  }
+
+  type batch = item Pending.queue
+
+  let run t ~threshold items =
+    t.counters.rx_batch_flushes <- t.counters.rx_batch_flushes + 1;
+    let counts =
+      let module A = (val t.armor : Armor.S) in
+      match A.batch_rx with
+      | Some ops -> ops.Armor.run_rx ~threshold (Array.map (fun o -> o.job) items)
+      | None -> assert false (* jobs only enqueue through the armor's ops *)
+    in
+    Array.iter
+      (fun o ->
+        verify_and_deliver t o.tm ~now:o.arrived ~peer:o.peer ~entry:o.entry
+          ~v:o.view ~owned:true
+          (Fbsr_util.Slice.of_string o.plaintext)
+          o.deliver)
+      items;
+    counts
+
+  let create ?threshold ?capacity ?linger engine : batch =
+    Pending.create "Batch_rx" ~run ?threshold ?capacity ?linger engine
+
+  let set_on_park (b : batch) f = b.Pending.on_park <- f
+  let pending = Pending.pending
+  let flush = Pending.flush
+  let tick = Pending.tick
+end
+
+(* The ["engine.seal"] span detail: wire size plus this seal's
+   key-schedule and MAC-midstate cache activity (deltas from the counter
+   snapshot taken when it started). *)
+let seal_detail t ~wire ~secret ~batched ~ksh0 ~ksm0 ~mmh0 ~mmm0 =
+  let c = t.counters in
+  let caches =
+    [
+      ("keysched_hits", Fbsr_util.Json.Int (c.keysched_hits - ksh0));
+      ("keysched_misses", Fbsr_util.Json.Int (c.keysched_misses - ksm0));
+      ("macmid_hits", Fbsr_util.Json.Int (c.mac_midstate_hits - mmh0));
+      ("macmid_misses", Fbsr_util.Json.Int (c.mac_midstate_misses - mmm0));
+    ]
+  in
+  ("bytes", Fbsr_util.Json.Int (String.length wire))
+  :: ("secret", Fbsr_util.Json.Bool secret)
+  :: (if batched then ("batched", Fbsr_util.Json.Bool true) :: caches else caches)
+
+(* Steps S4-S10 of Figure 4 once the flow entry is in hand: confounder,
+   timestamp, MAC, header insertion and body, then the wire goes to [k].
 
    Zero-copy assembly: the wire size is known up front (fixed header +
    suite MAC length + armor body length), so header, MAC and body are
    written into one exact-capacity buffer which [finalize] steals — one
    allocation per sealed datagram.  Everything algorithm-specific — MAC
    construction, body sizing, the body transform itself — is the armor's
-   business; the engine only assembles. *)
-let seal_entry ?confounder t ~now ~sfl ~entry ~secret ~payload =
+   business; the engine only assembles.
+
+   The body is written inline by the armor, unless a [batch] is given and
+   the armor has a batched kernel for this secret body: then the armor
+   reserves the body region and returns the pending job that will fill
+   it.  The wire is finalized with that region still unwritten and
+   ALIASES the job's destination buffer, so [k] fires only from the
+   flush that runs the job; the seal span, finished there too, covers
+   queue residence — the real seal latency under batching.
+
+   [confounder] overrides the engine's generator: the sharded dispatcher
+   pre-draws confounders in input order so the wire bytes are
+   independent of the shard count. *)
+let seal_datagram ?confounder ?batch t ~now ~sfl ~entry ~secret ~payload
+    (k : (string, error) result -> unit) =
   let module A = (val t.armor : Armor.S) in
   let stm =
     if Fbsr_util.Span.enabled t.spans then Some (Fbsr_util.Span.start t.spans)
     else None
   in
-  (* Key-schedule and MAC-midstate cache deltas over this seal, for span
-     cost attribution. *)
   let ksh0 = t.counters.keysched_hits and ksm0 = t.counters.keysched_misses in
   let mmh0 = t.counters.mac_midstate_hits
   and mmm0 = t.counters.mac_midstate_misses in
-  (* The sharded dispatcher pre-draws confounders in input order so the
-     wire bytes are independent of the shard count; a lone engine draws
-     from its own generator as before. *)
   let confounder =
     match confounder with
     | Some c -> c
@@ -435,70 +708,83 @@ let seal_entry ?confounder t ~now ~sfl ~entry ~secret ~payload =
   (* Writing the MAC through [substring] also performs the suite's
      truncation (Section 5.3) without an intermediate string. *)
   Fbsr_util.Byte_writer.substring w mac 0 t.suite.Suite.mac_length;
-  A.seal_body t.actx entry ~secret ~confounder ~payload w;
-  let wire = Fbsr_util.Byte_writer.finalize w in
-  (match stm with
-  | Some tm ->
-      Fbsr_util.Span.finish t.spans tm "engine.seal"
-        ~detail:
-          [
-            ("bytes", Fbsr_util.Json.Int (String.length wire));
-            ("secret", Fbsr_util.Json.Bool secret);
-            ( "keysched_hits",
-              Fbsr_util.Json.Int (t.counters.keysched_hits - ksh0) );
-            ( "keysched_misses",
-              Fbsr_util.Json.Int (t.counters.keysched_misses - ksm0) );
-            ( "macmid_hits",
-              Fbsr_util.Json.Int (t.counters.mac_midstate_hits - mmh0) );
-            ( "macmid_misses",
-              Fbsr_util.Json.Int (t.counters.mac_midstate_misses - mmm0) );
-          ]
-  | None -> ());
-  wire
-
-(* Flow entry for a caller-supplied raw flow key (the combined-path
-   [seal]/[send_sealed] API): a one-entry memo keyed on the flow key
-   keeps the expanded schedules across consecutive datagrams of the same
-   flow, which is the common pattern for the FST fast path. *)
-let entry_of_flow_key t flow_key =
-  match t.seal_memo with
-  | Some e when String.equal e.Armor.fk flow_key -> e
+  match (batch, if secret then A.batch else None) with
+  | Some b, Some ops ->
+      let job = ops.Armor.defer t.actx entry ~confounder ~payload w in
+      let wire = Fbsr_util.Byte_writer.finalize w in
+      let span =
+        match stm with
+        | None -> None
+        | Some tm ->
+            Some
+              ( tm,
+                Fbsr_util.Span.current (),
+                seal_detail t ~wire ~secret ~batched:true ~ksh0 ~ksm0 ~mmh0 ~mmm0 )
+      in
+      Pending.add b ~now { Batch.job; wire; deliver = k; span }
   | _ ->
-      let e = flow_entry_of_key flow_key in
-      t.seal_memo <- Some e;
-      e
+      A.seal_body t.actx entry ~secret ~confounder ~payload w;
+      let wire = Fbsr_util.Byte_writer.finalize w in
+      (match stm with
+      | Some tm ->
+          Fbsr_util.Span.finish t.spans tm "engine.seal"
+            ~detail:
+              (seal_detail t ~wire ~secret ~batched:false ~ksh0 ~ksm0 ~mmh0 ~mmm0)
+      | None -> ());
+      k (Ok wire)
 
-let seal t ~now ~sfl ~flow_key ~secret ~payload =
-  seal_entry t ~now ~sfl ~entry:(entry_of_flow_key t flow_key) ~secret ~payload
+(* [seal_datagram] under the datagram's trace id: the TFKC continuation may be
+   running under a later event's ambient context, and the caller's
+   transmit hook must still see this datagram's id. *)
+let seal_under ?confounder ?batch t tm ~now ~sfl ~entry ~secret ~payload k =
+  match tm with
+  | Some (_, id) ->
+      Fbsr_util.Span.with_current id (fun () ->
+          seal_datagram ?confounder ?batch t ~now ~sfl ~entry ~secret ~payload k)
+  | None -> seal_datagram ?confounder ?batch t ~now ~sfl ~entry ~secret ~payload k
 
-(* Derive the flow key outside the TFKC path — used by the combined fast
-   path on a table miss. *)
-let derive_flow_key t ~sfl ~src ~dst (k : (string, error) result -> unit) =
-  Keying.get_master t.keying dst (function
-    | Error e -> k (Error (Keying_error e))
-    | Ok master ->
-        t.counters.flow_key_computations <- t.counters.flow_key_computations + 1;
-        k (Ok (Keying.flow_key ~hash:t.suite.Suite.kdf_hash ~sfl ~master ~src ~dst)))
+(* Each datagram entering the send path is counted and, with spans
+   armed, opens a new trace: a fresh 64-bit id in the ambient sidecar
+   context.  Everything downstream — seal, link transit, the receiver's
+   whole pipeline — attributes its spans to this id.  The returned timer
+   also captures the id, so continuations that resume in a later
+   scheduler event (certificate fetch in flight) still record under it. *)
+let open_send t =
+  t.counters.sends <- t.counters.sends + 1;
+  if Fbsr_util.Span.enabled t.spans then begin
+    Fbsr_util.Span.set_current (Fbsr_util.Span.fresh_id ());
+    Some (Fbsr_util.Span.start t.spans, Fbsr_util.Span.current ())
+  end
+  else None
+
+(* FBSSend() from the classified flow on: the flow entry is the caller's
+   ([entry], the Section 7.2 combined table) or the TFKC's, derived on a
+   miss (Figure 6); then [seal_datagram]. *)
+let send_core ?confounder ?batch ?entry t tm ~now ~sfl ~src ~dst ~secret ~payload
+    (k : (string, error) result -> unit) =
+  match entry with
+  | Some entry -> seal_under ?confounder ?batch t tm ~now ~sfl ~entry ~secret ~payload k
+  | None ->
+      flow_key_via t t.tfkc ~sfl ~peer:dst ~src ~dst (function
+        | Error e ->
+            (* The datagram dies on the sender: terminal span here (the
+               receive-side terminal stage never runs). *)
+            (match tm with
+            | Some (stm, id) ->
+                Fbsr_util.Span.finish t.spans stm ~id ~outcome:"drop:keying"
+                  "engine.send"
+            | None -> ());
+            k (Error e)
+        | Ok entry ->
+            seal_under ?confounder ?batch t tm ~now ~sfl ~entry ~secret ~payload k)
 
 (* FBSSend(), Figure 4 S1-S10 with the Figure 6 TFKC fast path.  [now] is
    supplied by the caller (the datagram layer knows the time); the result
    is the wire representation: FBS header followed by the (possibly
    encrypted) body. *)
-let send t ~now ~attrs ~secret ~payload (k : (string, error) result -> unit) =
-  t.counters.sends <- t.counters.sends + 1;
-  (* Each datagram entering the send path opens a new trace: a fresh
-     64-bit id in the ambient sidecar context.  Everything downstream —
-     seal, link transit, the receiver's whole pipeline — attributes its
-     spans to this id.  [tm] also captures the id so continuations that
-     resume in a later scheduler event (certificate fetch in flight)
-     still record under it. *)
-  let tm =
-    if Fbsr_util.Span.enabled t.spans then begin
-      Fbsr_util.Span.set_current (Fbsr_util.Span.fresh_id ());
-      Some (Fbsr_util.Span.start t.spans, Fbsr_util.Span.current ())
-    end
-    else None
-  in
+let send ?batch t ~now ~attrs ~secret ~payload k =
+  check_batch "send" t batch;
+  let tm = open_send t in
   let sfl, decision = Fam.classify t.fam ~now attrs in
   let src = attrs.Fam.src and dst = attrs.Fam.dst in
   (match tm with
@@ -519,447 +805,122 @@ let send t ~now ~attrs ~secret ~payload (k : (string, error) result -> unit) =
         ("src", Fbsr_util.Json.String (Principal.to_string src));
         ("dst", Fbsr_util.Json.String (Principal.to_string dst));
       ];
-  flow_key_via t t.tfkc ~sfl ~peer:dst ~src ~dst (function
-    | Error e ->
-        (* The datagram dies on the sender: terminal span here (the
-           receive-side terminal stage never runs). *)
-        (match tm with
-        | Some (stm, id) ->
-            Fbsr_util.Span.finish t.spans stm ~id ~outcome:"drop:keying"
-              "engine.send"
-        | None -> ());
-        k (Error e)
-    | Ok entry -> (
-        match tm with
-        | Some (_, id) ->
-            (* Restore the datagram's id for seal and the caller's
-               transmit hook — the continuation may be running under a
-               later event's ambient context. *)
-            Fbsr_util.Span.with_current id (fun () ->
-                k (Ok (seal_entry t ~now ~sfl ~entry ~secret ~payload)))
-        | None -> k (Ok (seal_entry t ~now ~sfl ~entry ~secret ~payload))))
+  send_core ?batch t tm ~now ~sfl ~src ~dst ~secret ~payload k
 
 (* [send] for a datagram whose flow is already classified: the sharded
    dispatcher runs FAM once, up front, because the sfl *determines* the
-   owning shard — classification cannot move inside the shard without a
-   circularity.  Identical to [send] minus the classify span and the
-   flow-setup trace event (both belong to the dispatcher). *)
-let send_classified ?confounder t ~now ~sfl ~src ~dst ~secret ~payload
-    (k : (string, error) result -> unit) =
-  t.counters.sends <- t.counters.sends + 1;
-  let tm =
-    if Fbsr_util.Span.enabled t.spans then begin
-      Fbsr_util.Span.set_current (Fbsr_util.Span.fresh_id ());
-      Some (Fbsr_util.Span.start t.spans, Fbsr_util.Span.current ())
-    end
-    else None
-  in
-  flow_key_via t t.tfkc ~sfl ~peer:dst ~src ~dst (function
-    | Error e ->
-        (match tm with
-        | Some (stm, id) ->
-            Fbsr_util.Span.finish t.spans stm ~id ~outcome:"drop:keying"
-              "engine.send"
-        | None -> ());
-        k (Error e)
-    | Ok entry -> (
-        match tm with
-        | Some (_, id) ->
-            Fbsr_util.Span.with_current id (fun () ->
-                k (Ok (seal_entry ?confounder t ~now ~sfl ~entry ~secret ~payload)))
-        | None ->
-            k (Ok (seal_entry ?confounder t ~now ~sfl ~entry ~secret ~payload))))
+   owning shard, and the combined fast path's one table probe yields the
+   sfl and the flow entry together.  Identical to [send] minus the
+   classify span and the flow-setup trace event (both belong to the
+   caller). *)
+let send_flow ?confounder ?batch ?entry t ~now ~sfl ~src ~dst ~secret ~payload k =
+  check_batch "send_flow" t batch;
+  send_core ?confounder ?batch ?entry t (open_send t) ~now ~sfl ~src ~dst ~secret
+    ~payload k
 
-(* The combined-path sibling of [send]: counts the datagram but leaves flow
-   association and key lookup to the caller. *)
-let send_sealed t ~now ~sfl ~flow_key ~secret ~payload =
-  t.counters.sends <- t.counters.sends + 1;
-  if Fbsr_util.Span.enabled t.spans then
-    Fbsr_util.Span.set_current (Fbsr_util.Span.fresh_id ());
-  seal t ~now ~sfl ~flow_key ~secret ~payload
+(* A replay-check refusal (stale or duplicate), with its trace event. *)
+let reject_replay t tm ~now ~(v : Header.view) cause detail e =
+  if Fbsr_util.Trace.enabled t.trace then
+    Fbsr_util.Trace.emit t.trace ~time:now "fbs.engine.replay.reject"
+      (("sfl", Fbsr_util.Json.String (Fmt.str "%a" Sfl.pp v.Header.v_sfl))
+      :: ("cause", Fbsr_util.Json.String cause)
+      :: detail);
+  refuse t tm ~sfl:v.Header.v_sfl e
 
-(* The deferred-seal core for the cross-flow batch: steps S4-S10 minus
-   the body encryption, which comes back as a pending CBC job.  The wire
-   string is finalized with the body region still unwritten and ALIASES
-   the job's destination buffer ([Byte_writer.finalize] shares storage at
-   exact capacity), so when the batch later runs the job, the ciphertext
-   lands in the already-issued string.  Callers must not hand the wire
-   out before the job has run — [Batch] delivers continuations only
-   after its flush.  Only called for DES-CBC + secret + non-NOP.
-
-   The seal span timer (and the datagram's trace id) are captured here
-   but finished at flush, so the span covers queue residence — the real
-   seal latency under batching. *)
-let seal_entry_deferred t ~(ops : Armor.batch_ops) ~now ~sfl ~entry ~payload =
-  let module A = (val t.armor : Armor.S) in
-  let stm =
-    if Fbsr_util.Span.enabled t.spans then
-      Some (Fbsr_util.Span.start t.spans, Fbsr_util.Span.current ())
-    else None
-  in
-  let ksh0 = t.counters.keysched_hits and ksm0 = t.counters.keysched_misses in
-  let mmh0 = t.counters.mac_midstate_hits
-  and mmm0 = t.counters.mac_midstate_misses in
-  let confounder = Fbsr_util.Lcg.next_u32 t.confounder_gen in
-  let timestamp = Replay.minutes_of_seconds now in
-  let payload_len = String.length payload in
-  if Flowstats.enabled t.flowstats then begin
-    let key = Sfl.to_int64 sfl in
-    Fbsr_util.Sketch.observe t.flowstats.Flowstats.datagrams key 1;
-    Fbsr_util.Sketch.observe t.flowstats.Flowstats.bytes key payload_len
-  end;
-  let mac =
-    A.seal_mac t.actx entry ~secret:true ~confounder ~timestamp
-      ~payload:(Fbsr_util.Slice.of_string payload)
-  in
-  let body_len = A.sealed_body_len ~secret:true payload_len in
-  let w =
-    Fbsr_util.Byte_writer.create
-      ~capacity:(Header.fixed_size + t.suite.Suite.mac_length + body_len)
-      ()
-  in
-  t.counters.datapath_allocs <- t.counters.datapath_allocs + 1;
-  Header.encode_fields_into w ~sfl ~suite:t.suite ~secret:true ~confounder ~timestamp;
-  Fbsr_util.Byte_writer.substring w mac 0 t.suite.Suite.mac_length;
-  (* The armor reserves the body region and returns the pending job that
-     will fill it (accounting the encryption as the inline path would). *)
-  let job = ops.Armor.defer t.actx entry ~confounder ~payload w in
-  let wire = Fbsr_util.Byte_writer.finalize w in
-  let detail =
-    [
-      ("bytes", Fbsr_util.Json.Int (String.length wire));
-      ("secret", Fbsr_util.Json.Bool true);
-      ("batched", Fbsr_util.Json.Bool true);
-      ("keysched_hits", Fbsr_util.Json.Int (t.counters.keysched_hits - ksh0));
-      ( "keysched_misses",
-        Fbsr_util.Json.Int (t.counters.keysched_misses - ksm0) );
-      ("macmid_hits", Fbsr_util.Json.Int (t.counters.mac_midstate_hits - mmh0));
-      ( "macmid_misses",
-        Fbsr_util.Json.Int (t.counters.mac_midstate_misses - mmm0) );
-    ]
-  in
-  (wire, job, stm, detail)
-
-(* Cross-flow seal batching — the bitsliced-DES feed.  CBC serializes
-   blocks {e within} a flow but not {e across} flows, so DES-CBC secret
-   sends defer their body encryption: the datagram is fully assembled
-   (header, MAC, reserved body region) and its pending chain queued;
-   [flush] advances every queued chain in lockstep through
-   {!Fbsr_crypto.Des_bitslice} and only then hands each wire to its
-   continuation, so callers never observe a half-sealed datagram.
-   Sends the kernel cannot help (non-secret, NOP suite, other ciphers)
-   seal and deliver immediately with [send] semantics. *)
-module Batch = struct
-  type pending = {
-    job : Armor.job;
-    wire : string; (* aliases the job's destination; complete after flush *)
-    deliver : (string, error) result -> unit;
-    enqueued_at : float;
-    seal_tm : (Fbsr_util.Span.timer * int64) option;
-    seal_detail : (string * Fbsr_util.Json.t) list;
-  }
-
-  type batch = {
-    engine : t;
-    threshold : int;
-    capacity : int;
-    linger : float;
-    queue : pending Queue.t;
-  }
-
-  let create ?(threshold = 24) ?(capacity = Fbsr_crypto.Des_bitslice.lanes)
-      ?(linger = 0.001) engine =
-    if capacity < 1 then invalid_arg "Engine.Batch.create: capacity < 1";
-    if linger < 0. then invalid_arg "Engine.Batch.create: negative linger";
-    { engine; threshold; capacity; linger; queue = Queue.create () }
-
-  let pending b = Queue.length b.queue
-
-  (* Run every queued chain (bitsliced when at least [threshold] jobs
-     share a kernel group, scalar otherwise), then deliver the completed
-     wires in enqueue order, each under its datagram's trace id.
-     Returns the kernel's (bitsliced_blocks, scalar_blocks) split. *)
-  let flush b =
-    if Queue.is_empty b.queue then (0, 0)
-    else begin
-      let t = b.engine in
-      let n = Queue.length b.queue in
-      (* Explicit drain: [Array.init]'s evaluation order is unspecified,
-         and delivery order must be enqueue order. *)
-      let ps = Array.make n (Queue.peek b.queue) in
-      for i = 0 to n - 1 do
-        ps.(i) <- Queue.pop b.queue
-      done;
-      let counts =
-        let module A = (val t.armor : Armor.S) in
-        match A.batch with
-        | Some ops -> ops.Armor.run ~threshold:b.threshold (Array.map (fun p -> p.job) ps)
-        | None -> assert false (* jobs only enqueue through the armor's ops *)
-      in
-      Array.iter
-        (fun p ->
-          match p.seal_tm with
-          | Some (tm, id) ->
-              Fbsr_util.Span.finish t.spans tm ~id "engine.seal"
-                ~detail:p.seal_detail;
-              Fbsr_util.Span.with_current id (fun () -> p.deliver (Ok p.wire))
-          | None -> p.deliver (Ok p.wire))
-        ps;
-      counts
-    end
-
-  (* Time-based flush: a partial batch older than [linger] stops waiting
-     for lanes and ships.  Call from the event loop / timer wheel. *)
-  let tick b ~now =
-    match Queue.peek_opt b.queue with
-    | Some p when now -. p.enqueued_at >= b.linger -> Some (flush b)
-    | _ -> None
-end
-
-(* [send] with the body encryption routed through a batch.  Semantics
-   match [send] except that for deferrable datagrams (secret, non-NOP,
-   DES-CBC) the continuation fires from [Batch.flush] — immediately
-   below when the enqueue fills the batch, else at a later [flush]/
-   [tick].  Everything else — counters, spans, trace events, the TFKC
-   path — is identical, datagram for datagram. *)
-let send_batched (b : Batch.batch) ~now ~attrs ~secret ~payload
-    (k : (string, error) result -> unit) =
-  let t = b.Batch.engine in
-  t.counters.sends <- t.counters.sends + 1;
-  let tm =
-    if Fbsr_util.Span.enabled t.spans then begin
-      Fbsr_util.Span.set_current (Fbsr_util.Span.fresh_id ());
-      Some (Fbsr_util.Span.start t.spans, Fbsr_util.Span.current ())
-    end
-    else None
-  in
-  let sfl, decision = Fam.classify t.fam ~now attrs in
-  let src = attrs.Fam.src and dst = attrs.Fam.dst in
-  (match tm with
-  | Some (stm, id) ->
-      Fbsr_util.Span.finish t.spans stm ~id "fam.classify"
-        ~detail:
-          [
-            ("sfl", Fbsr_util.Json.String (Fmt.str "%a" Sfl.pp sfl));
-            ( "decision",
-              Fbsr_util.Json.String
-                (if decision = Fam.Fresh then "fresh" else "established") );
-          ]
-  | None -> ());
-  if decision = Fam.Fresh && Fbsr_util.Trace.enabled t.trace then
-    Fbsr_util.Trace.emit t.trace ~time:now "fbs.engine.flow.setup"
-      [
-        ("sfl", Fbsr_util.Json.String (Fmt.str "%a" Sfl.pp sfl));
-        ("src", Fbsr_util.Json.String (Principal.to_string src));
-        ("dst", Fbsr_util.Json.String (Principal.to_string dst));
-      ];
-  flow_key_via t t.tfkc ~sfl ~peer:dst ~src ~dst (function
-    | Error e ->
-        (match tm with
-        | Some (stm, id) ->
-            Fbsr_util.Span.finish t.spans stm ~id ~outcome:"drop:keying"
-              "engine.send"
-        | None -> ());
-        k (Error e)
-    | Ok entry ->
-        let deferrable =
-          let module A = (val t.armor : Armor.S) in
-          if secret then A.batch else None
-        in
-        let run () =
-          match deferrable with
-          | None -> k (Ok (seal_entry t ~now ~sfl ~entry ~secret ~payload))
-          | Some ops ->
-            let wire, job, seal_tm, seal_detail =
-              seal_entry_deferred t ~ops ~now ~sfl ~entry ~payload
-            in
-            Queue.add
-              {
-                Batch.job;
-                wire;
-                deliver = k;
-                enqueued_at = now;
-                seal_tm;
-                seal_detail;
-              }
-              b.Batch.queue;
-            if Queue.length b.Batch.queue >= b.Batch.capacity then
-              ignore (Batch.flush b)
-        in
-        (match tm with
-        | Some (_, id) -> Fbsr_util.Span.with_current id run
-        | None -> run ()))
-
-type accepted = {
-  header : Header.t;
-  payload : string; (* plaintext body *)
-  peer : Principal.t;
-}
-
-(* Decrypt a body slice into a fresh exact-size plaintext string (the one
-   allocation a received secret datagram needs) — the armor's
-   [open_body], with its unit error mapped to the engine's. *)
-let decrypt_body_slice t ~entry ~confounder ~(body : Fbsr_util.Slice.t) =
-  let module A = (val t.armor : Armor.S) in
-  match A.open_body t.actx entry ~confounder ~body with
-  | Ok plaintext -> Ok plaintext
-  | Error () -> Error Decrypt_error
-
-(* Terminal span of the receive pipeline: exactly one per received
-   datagram, carrying the verdict — "delivered" or "drop:<cause>", the
-   causes mirroring [drops_by_cause].  A top-level function taking the
-   optional timer keeps the disabled path a constant [None] with no
-   closure allocation at the exit points. *)
-let conclude_receive t (tm : (Fbsr_util.Span.timer * int64) option) outcome =
-  match tm with
-  | None -> ()
-  | Some (stm, id) ->
-      Fbsr_util.Span.finish t.spans stm ~id ~outcome "engine.receive"
-
-(* The scalar receive prologue — header decode, suite enforcement, replay
-   check (Figure 4 R1-R5) — shared verbatim by the inline and batched
-   receive paths, so a frame is accepted or refused at the same stage
-   with the same counters, traces and spans on both.  An [Error] has
-   already been fully accounted (counter, flow-drop attribution, trace
-   event, terminal span); the caller just delivers it. *)
+(* The receive prologue — header decode, suite enforcement, replay check
+   (Figure 4 R1-R5).  An [Error] has already been fully accounted
+   (counter, flow-drop attribution, trace event, terminal span); the
+   caller just delivers it. *)
 let receive_prologue t ~now tm ~(wire : Fbsr_util.Slice.t) =
   match Header.decode_view wire with
-  | Error e ->
-      t.counters.errors_header <- t.counters.errors_header + 1;
-      conclude_receive t tm "drop:header";
-      Error (Header_error e)
-  | Ok v -> (
+  | Error e -> refuse t tm (Header_error e)
+  | Ok v when v.Header.v_suite.Suite.id <> t.suite.Suite.id ->
       (* The suite is taken from the header only to the extent we accept
          it: a receiver enforces its own configured suite to prevent
          algorithm-downgrade games (the paper leaves this open). *)
-      if v.Header.v_suite.Suite.id <> t.suite.Suite.id then begin
-        t.counters.errors_header <- t.counters.errors_header + 1;
-        conclude_receive t tm "drop:header";
-        Error (Header_error (Header.Unknown_suite v.Header.v_suite.Suite.id))
-      end
-      else
-        let rtm =
-          if Fbsr_util.Span.enabled t.spans then
-            Some (Fbsr_util.Span.start t.spans)
-          else None
-        in
-        let verdict =
-          Replay.check t.replay ~now ~sfl:v.Header.v_sfl
-            ~confounder:v.Header.v_confounder ~timestamp:v.Header.v_timestamp
-        in
-        (match rtm with
-        | Some stm ->
-            let id = match tm with Some (_, id) -> id | None -> 0L in
-            Fbsr_util.Span.finish t.spans stm ~id "replay.check"
-              ~detail:
-                [
-                  ( "verdict",
-                    Fbsr_util.Json.String
-                      (match verdict with
-                      | Replay.Fresh -> "fresh"
-                      | Replay.Stale -> "stale"
-                      | Replay.Duplicate -> "duplicate") );
-                ]
-        | None -> ());
-        match verdict with
-        | Replay.Stale ->
-            t.counters.errors_stale <- t.counters.errors_stale + 1;
-            note_flow_drop t v.Header.v_sfl;
-            if Fbsr_util.Trace.enabled t.trace then
-              Fbsr_util.Trace.emit t.trace ~time:now "fbs.engine.replay.reject"
-                [
-                  ("sfl", Fbsr_util.Json.String (Fmt.str "%a" Sfl.pp v.Header.v_sfl));
-                  ("cause", Fbsr_util.Json.String "stale");
-                  ("timestamp", Fbsr_util.Json.Int v.Header.v_timestamp);
-                  ("now_minutes", Fbsr_util.Json.Int (Replay.minutes_of_seconds now));
-                ];
-            conclude_receive t tm "drop:stale";
-            Error
-              (Stale
-                 {
-                   timestamp = v.Header.v_timestamp;
-                   now_minutes = Replay.minutes_of_seconds now;
-                 })
-        | Replay.Duplicate ->
-            t.counters.errors_duplicate <- t.counters.errors_duplicate + 1;
-            note_flow_drop t v.Header.v_sfl;
-            if Fbsr_util.Trace.enabled t.trace then
-              Fbsr_util.Trace.emit t.trace ~time:now "fbs.engine.replay.reject"
-                [
-                  ("sfl", Fbsr_util.Json.String (Fmt.str "%a" Sfl.pp v.Header.v_sfl));
-                  ("cause", Fbsr_util.Json.String "duplicate");
-                ];
-            conclude_receive t tm "drop:duplicate";
-            Error Duplicate
-        | Replay.Fresh -> Ok v)
-
-(* R6-R12 once the flow entry is in hand: decrypt (inline), verify the
-   MAC, deliver — the tail of the scalar path, also the fallback of the
-   batched path for frames whose open cannot be deferred. *)
-let finish_scalar t ~now ~src ~(v : Header.view) ~entry tm
-    (k : (accepted, error) result -> unit) =
-  (* [plaintext] borrows either the wire buffer (non-secret / NOP) or
-     the decrypted string; [materialize] copies it out only on
-     acceptance. *)
-  let module A = (val t.armor : Armor.S) in
-  let finish (plaintext : Fbsr_util.Slice.t) materialize =
-    if
-      A.verify_mac t.actx entry ~secret:v.Header.v_secret
-        ~confounder:v.Header.v_confounder ~timestamp:v.Header.v_timestamp
-        ~payload:plaintext ~expected:v.Header.v_mac
-    then begin
-      t.counters.accepted <- t.counters.accepted + 1;
-      track_inbound t ~now ~sfl:v.Header.v_sfl ~peer:src
-        ~bytes:(Fbsr_util.Slice.length plaintext);
-      conclude_receive t tm "delivered";
-      let accepted =
-        Ok { header = Header.to_header v; payload = materialize (); peer = src }
+      refuse t tm (Header_error (Header.Unknown_suite v.Header.v_suite.Suite.id))
+  | Ok v -> (
+      let rtm =
+        if Fbsr_util.Span.enabled t.spans then Some (Fbsr_util.Span.start t.spans)
+        else None
       in
-      match tm with
-      | Some (_, id) ->
-          (* Deliver under the datagram's id even when the keying
-             continuation resumed in a later event; an acknowledgement
-             sent from the handler opens its own trace and this scope
-             restores ours. *)
-          Fbsr_util.Span.with_current id (fun () -> k accepted)
-      | None -> k accepted
-    end
-    else begin
-      t.counters.errors_mac <- t.counters.errors_mac + 1;
-      note_flow_drop t v.Header.v_sfl;
-      conclude_receive t tm "drop:mac";
-      k (Error Bad_mac)
-    end
-  in
-  let body = v.Header.v_body in
-  if v.Header.v_secret && A.encrypts then
-    match decrypt_body_slice t ~entry ~confounder:v.Header.v_confounder ~body with
-    | Ok plaintext ->
-        t.counters.datapath_allocs <- t.counters.datapath_allocs + 1;
-        (* Already a fresh exact-size string: hand it out as-is, no
-           further copy. *)
-        finish (Fbsr_util.Slice.of_string plaintext) (fun () -> plaintext)
-    | Error e ->
-        t.counters.errors_decrypt <- t.counters.errors_decrypt + 1;
-        note_flow_drop t v.Header.v_sfl;
-        conclude_receive t tm "drop:decrypt";
-        k (Error e)
+      let verdict =
+        Replay.check t.replay ~now ~sfl:v.Header.v_sfl
+          ~confounder:v.Header.v_confounder ~timestamp:v.Header.v_timestamp
+      in
+      (match rtm with
+      | Some stm ->
+          let id = match tm with Some (_, id) -> id | None -> 0L in
+          Fbsr_util.Span.finish t.spans stm ~id "replay.check"
+            ~detail:
+              [
+                ( "verdict",
+                  Fbsr_util.Json.String
+                    (match verdict with
+                    | Replay.Fresh -> "fresh"
+                    | Replay.Stale -> "stale"
+                    | Replay.Duplicate -> "duplicate") );
+              ]
+      | None -> ());
+      match verdict with
+      | Replay.Fresh -> Ok v
+      | Replay.Stale ->
+          let now_minutes = Replay.minutes_of_seconds now in
+          reject_replay t tm ~now ~v "stale"
+            [
+              ("timestamp", Fbsr_util.Json.Int v.Header.v_timestamp);
+              ("now_minutes", Fbsr_util.Json.Int now_minutes);
+            ]
+            (Stale { timestamp = v.Header.v_timestamp; now_minutes })
+      | Replay.Duplicate -> reject_replay t tm ~now ~v "duplicate" [] Duplicate)
+
+(* R6-R12 once the flow entry is in hand.  A secret body the armor can
+   open in a batched kernel is deferred into [batch] when one is given:
+   the ciphertext is validated now (a frame the inline open would reject
+   is rejected here, at the same stage with the same verdict), decrypt
+   and MAC verify run at the flush.  Everything else opens inline. *)
+let open_datagram ?batch t ~now ~src ~(v : Header.view) ~entry tm k =
+  let module A = (val t.armor : Armor.S) in
+  let confounder = v.Header.v_confounder and body = v.Header.v_body in
+  if not (v.Header.v_secret && A.encrypts) then
+    verify_and_deliver t tm ~now ~peer:src ~entry ~v ~owned:false body k
   else
-    (* Plaintext body stays in the wire buffer until the datagram is
-       accepted; only then is it copied out (the slice must not outlive
-       the wire buffer). *)
-    finish body (fun () ->
-        t.counters.datapath_allocs <- t.counters.datapath_allocs + 1;
-        t.counters.bytes_copied <-
-          t.counters.bytes_copied + Fbsr_util.Slice.length body;
-        Fbsr_util.Slice.to_string body)
+    match (batch, A.batch_rx) with
+    | Some b, Some ops -> (
+        match ops.Armor.defer_open t.actx entry ~confounder ~body with
+        | Error () -> k (refuse t tm ~sfl:v.Header.v_sfl Decrypt_error)
+        | Ok (job, plaintext) ->
+            t.counters.datapath_allocs <- t.counters.datapath_allocs + 1;
+            t.counters.rx_batch_deferred <- t.counters.rx_batch_deferred + 1;
+            Pending.add b ~now
+              {
+                Batch_rx.job;
+                entry;
+                view = v;
+                plaintext;
+                peer = src;
+                deliver = k;
+                arrived = now;
+                tm;
+              })
+    | _ -> (
+        match A.open_body t.actx entry ~confounder ~body with
+        | Ok plaintext ->
+            (* The one allocation of a received secret datagram, handed
+               out as-is on acceptance. *)
+            t.counters.datapath_allocs <- t.counters.datapath_allocs + 1;
+            verify_and_deliver t tm ~now ~peer:src ~entry ~v ~owned:true
+              (Fbsr_util.Slice.of_string plaintext)
+              k
+        | Error () -> k (refuse t tm ~sfl:v.Header.v_sfl Decrypt_error))
 
 (* FBSReceive(), Figure 4 R1-R12 with the RFKC fast path.  The wire is a
    borrowed slice: the header is parsed as a view, the MAC is verified
    against the wire bytes in place, and only an accepted datagram
    materializes a header record and payload string. *)
-let receive_slice t ~now ~src ~(wire : Fbsr_util.Slice.t)
+let receive ?batch t ~now ~src ~(wire : Fbsr_util.Slice.t)
     (k : (accepted, error) result -> unit) =
+  check_batch "receive" t batch;
   t.counters.receives <- t.counters.receives + 1;
   (* The ambient id was restored by the delivery path (netsim) from the
      sender's transmit-time capture — this is where the receive-side
@@ -972,214 +933,29 @@ let receive_slice t ~now ~src ~(wire : Fbsr_util.Slice.t)
   match receive_prologue t ~now tm ~wire with
   | Error e -> k (Error e)
   | Ok v ->
-      let dst = local t in
-      flow_key_via t t.rfkc ~sfl:v.Header.v_sfl ~peer:src ~src ~dst (function
-        | Error e ->
-            t.counters.errors_keying <- t.counters.errors_keying + 1;
-            note_flow_drop t v.Header.v_sfl;
-            conclude_receive t tm "drop:keying";
-            k (Error e)
-        | Ok entry -> finish_scalar t ~now ~src ~v ~entry tm k)
+      flow_key_via t t.rfkc ~sfl:v.Header.v_sfl ~peer:src ~src ~dst:(local t)
+        (function
+        | Error e -> k (refuse t tm ~sfl:v.Header.v_sfl e)
+        | Ok entry -> open_datagram ?batch t ~now ~src ~v ~entry tm k)
 
-let receive t ~now ~src ~wire (k : (accepted, error) result -> unit) =
-  receive_slice t ~now ~src ~wire:(Fbsr_util.Slice.of_string wire) k
-
-(* Cross-flow receive batching — the decrypt-side mirror of [Batch].
-   The scalar prologue (header decode, suite check, replay check, RFKC
-   probe) runs at enqueue, in arrival order — so replay registration,
-   drop counters and every early-refusal verdict are identical to the
-   scalar path, frame for frame.  Only the body open and the MAC verify
-   are deferred: [flush] runs one bitsliced decrypt pass over all queued
-   frames, then verifies and delivers in enqueue order, so per-flow
-   delivery order is preserved and a caller never observes a
-   half-opened datagram. *)
-module Batch_rx = struct
-  type pending = {
-    job : Armor.job;
-    entry : flow_entry;
-    header : Header.t; (* materialized at enqueue; the wire is borrowed *)
-    expected_mac : Fbsr_util.Slice.t; (* borrows the wire until flush *)
-    plaintext : string; (* aliases the job's output; complete after flush *)
-    peer : Principal.t;
-    deliver : (accepted, error) result -> unit;
-    enqueued_at : float;
-    tm : (Fbsr_util.Span.timer * int64) option;
-  }
-
-  type batch = {
-    engine : t;
-    threshold : int;
-    capacity : int;
-    linger : float;
-    queue : pending Queue.t;
-    mutable on_park : (unit -> unit) option;
-        (* fires on every enqueue that leaves the frame parked (no
-           capacity flush) — including late enqueues from a resumed
-           keying continuation, which the caller of [receive_batched]
-           cannot observe synchronously *)
-  }
-
-  let create ?(threshold = 24) ?(capacity = Fbsr_crypto.Des_bitslice.lanes)
-      ?(linger = 0.001) engine =
-    if capacity < 1 then invalid_arg "Engine.Batch_rx.create: capacity < 1";
-    if linger < 0. then invalid_arg "Engine.Batch_rx.create: negative linger";
-    { engine; threshold; capacity; linger; queue = Queue.create (); on_park = None }
-
-  let set_on_park b f = b.on_park <- Some f
-  let pending b = Queue.length b.queue
-
-  (* Run every queued open (bitsliced when at least [threshold] jobs
-     share a kernel group), then verify each frame's MAC over its now-
-     complete plaintext and deliver verdicts in enqueue order, each
-     under its datagram's trace id.  Returns the kernel's
-     (bitsliced_blocks, scalar_blocks) split. *)
-  let flush b =
-    if Queue.is_empty b.queue then (0, 0)
-    else begin
-      let t = b.engine in
-      let n = Queue.length b.queue in
-      let ps = Array.make n (Queue.peek b.queue) in
-      for i = 0 to n - 1 do
-        ps.(i) <- Queue.pop b.queue
-      done;
-      t.counters.rx_batch_flushes <- t.counters.rx_batch_flushes + 1;
-      let counts =
-        let module A = (val t.armor : Armor.S) in
-        match A.batch_rx with
-        | Some ops ->
-            ops.Armor.run_rx ~threshold:b.threshold
-              (Array.map (fun p -> p.job) ps)
-        | None -> assert false (* jobs only enqueue through the armor's ops *)
-      in
-      let module A = (val t.armor : Armor.S) in
-      Array.iter
-        (fun p ->
-          let h = p.header in
-          let fin () =
-            if
-              A.verify_mac t.actx p.entry ~secret:h.Header.secret
-                ~confounder:h.Header.confounder ~timestamp:h.Header.timestamp
-                ~payload:(Fbsr_util.Slice.of_string p.plaintext)
-                ~expected:p.expected_mac
-            then begin
-              t.counters.accepted <- t.counters.accepted + 1;
-              track_inbound t ~now:p.enqueued_at ~sfl:h.Header.sfl ~peer:p.peer
-                ~bytes:(String.length p.plaintext);
-              conclude_receive t p.tm "delivered";
-              p.deliver (Ok { header = h; payload = p.plaintext; peer = p.peer })
-            end
-            else begin
-              t.counters.errors_mac <- t.counters.errors_mac + 1;
-              note_flow_drop t h.Header.sfl;
-              conclude_receive t p.tm "drop:mac";
-              p.deliver (Error Bad_mac)
-            end
-          in
-          match p.tm with
-          | Some (_, id) -> Fbsr_util.Span.with_current id fin
-          | None -> fin ())
-        ps;
-      counts
-    end
-
-  (* Time-based flush: a partial batch older than [linger] stops waiting
-     for lanes and ships.  Call from the event loop / timer wheel. *)
-  let tick b ~now =
-    match Queue.peek_opt b.queue with
-    | Some p when now -. p.enqueued_at >= b.linger -> Some (flush b)
-    | _ -> None
-end
-
-(* [receive] with the body open routed through a batch.  Semantics match
-   [receive] except that for deferrable frames (secret, encrypting
-   armor with a batched decrypt kernel) the continuation fires from
-   [Batch_rx.flush] — immediately below when the enqueue fills the
-   batch, else at a later [flush]/[tick].  The wire string is borrowed
-   by the pending job until that flush.  Every prologue refusal
-   (header, suite, replay, keying) and every frame the kernel cannot
-   help (non-secret, NOP suite, other ciphers, corrupt padding)
-   resolves inline with [receive] semantics, counter for counter. *)
-let receive_batched (b : Batch_rx.batch) ~now ~src ~(wire : string)
-    (k : (accepted, error) result -> unit) =
-  let t = b.Batch_rx.engine in
-  t.counters.receives <- t.counters.receives + 1;
-  let tm =
-    if Fbsr_util.Span.enabled t.spans then
-      Some (Fbsr_util.Span.start t.spans, Fbsr_util.Span.current ())
-    else None
-  in
-  match receive_prologue t ~now tm ~wire:(Fbsr_util.Slice.of_string wire) with
-  | Error e -> k (Error e)
-  | Ok v ->
-      let dst = local t in
-      flow_key_via t t.rfkc ~sfl:v.Header.v_sfl ~peer:src ~src ~dst (function
-        | Error e ->
-            t.counters.errors_keying <- t.counters.errors_keying + 1;
-            note_flow_drop t v.Header.v_sfl;
-            conclude_receive t tm "drop:keying";
-            k (Error e)
-        | Ok entry -> (
-            let module A = (val t.armor : Armor.S) in
-            let deferrable =
-              if v.Header.v_secret && A.encrypts then A.batch_rx else None
-            in
-            match deferrable with
-            | None -> finish_scalar t ~now ~src ~v ~entry tm k
-            | Some ops -> (
-                match
-                  ops.Armor.defer_open t.actx entry
-                    ~confounder:v.Header.v_confounder ~body:v.Header.v_body
-                with
-                | Error () ->
-                    (* Rejected at the same stage, with the same verdict,
-                       as the inline open would have rejected it. *)
-                    t.counters.errors_decrypt <- t.counters.errors_decrypt + 1;
-                    note_flow_drop t v.Header.v_sfl;
-                    conclude_receive t tm "drop:decrypt";
-                    k (Error Decrypt_error)
-                | Ok (job, plaintext) ->
-                    t.counters.datapath_allocs <-
-                      t.counters.datapath_allocs + 1;
-                    t.counters.rx_batch_deferred <-
-                      t.counters.rx_batch_deferred + 1;
-                    Queue.add
-                      {
-                        Batch_rx.job;
-                        entry;
-                        header = Header.to_header v;
-                        expected_mac = v.Header.v_mac;
-                        plaintext;
-                        peer = src;
-                        deliver = k;
-                        enqueued_at = now;
-                        tm;
-                      }
-                      b.Batch_rx.queue;
-                    if Queue.length b.Batch_rx.queue >= b.Batch_rx.capacity
-                    then ignore (Batch_rx.flush b)
-                    else
-                      (* The frame stays parked.  Notify here — at actual
-                         enqueue time — rather than leaving the caller to
-                         infer a park from [pending], because when the
-                         keying layer suspended above, this enqueue runs
-                         in a later event, after the caller's synchronous
-                         check: without the hook nothing would arm a
-                         linger flush and the frame could park forever. *)
-                      match b.Batch_rx.on_park with
-                      | Some f -> f ()
-                      | None -> ())))
-
-(* Synchronous conveniences for callers whose resolver completes inline. *)
+(* Synchronous conveniences for callers whose resolver completes inline.
+   A resolver that suspends is a caller error, not a verdict: the
+   datagram would still be sealed or accepted later, with nobody left to
+   hear of it. *)
+let settled what = function
+  | Some r -> r
+  | None -> invalid_arg ("Engine." ^ what ^ ": keying resolver deferred")
 
 let send_sync t ~now ~attrs ~secret ~payload =
-  let result = ref (Error (Keying_error (Keying.No_certificate "pending"))) in
-  send t ~now ~attrs ~secret ~payload (fun r -> result := r);
-  !result
+  let result = ref None in
+  send t ~now ~attrs ~secret ~payload (fun r -> result := Some r);
+  settled "send_sync" !result
 
 let receive_sync t ~now ~src ~wire =
-  let result = ref (Error (Keying_error (Keying.No_certificate "pending"))) in
-  receive t ~now ~src ~wire (fun r -> result := r);
-  !result
+  let result = ref None in
+  receive t ~now ~src ~wire:(Fbsr_util.Slice.of_string wire) (fun r ->
+      result := Some r);
+  settled "receive_sync" !result
 
 let header_overhead t = Header.size_for_suite t.suite
 

@@ -2,10 +2,21 @@
     soft-state cache fast paths of Figure 6.
 
     Layer-independent: consumes attributes + payload bytes, produces wire
-    bytes (security flow header followed by the protected body).  Keying
-    may suspend on a certificate fetch, so the primary API is
-    continuation-passing; [_sync] variants serve callers whose resolver
-    completes inline. *)
+    bytes (security flow header followed by the protected body).  There is
+    one send pipeline and one receive pipeline:
+
+    - {!send} classifies and then runs the pipeline; {!send_flow} enters
+      it with a flow the caller has already classified (the sharded
+      dispatcher), optionally with the flow entry too (the Section 7.2
+      combined fast path).
+    - {!receive} runs the receive pipeline over a borrowed wire slice.
+
+    Each takes an optional batch ({!Batch}, {!Batch_rx}): the batched and
+    inline cases differ only at the body step, where a batchable body is
+    queued for a cross-flow kernel pass instead of transformed in place.
+    Keying may suspend on a certificate fetch, so the pipelines are
+    continuation-passing; {!send_sync}/{!receive_sync} serve callers whose
+    resolver completes inline. *)
 
 type error =
   | Header_error of Header.error
@@ -96,10 +107,11 @@ val create :
     per stale/duplicate rejection, and ["fbs.cache.evict"] per eviction.
 
     [spans] (default disabled) receives per-datagram causal spans.  Each
-    {!send} opens a fresh trace id in the {!Fbsr_util.Span} sidecar
-    context and records ["fam.classify"], ["keying.derive"] (with
-    TFKC/RFKC hit-or-miss and MKC/PVC/fetch attribution) and
-    ["engine.seal"]; each {!receive_slice} records ["replay.check"] and a
+    {!send} or {!send_flow} opens a fresh trace id in the
+    {!Fbsr_util.Span} sidecar context and records ["fam.classify"]
+    ({!send} only), ["keying.derive"] (with TFKC/RFKC hit-or-miss and
+    MKC/PVC/fetch attribution; absent when {!send_flow} is given the
+    entry) and ["engine.seal"]; each {!receive} records ["replay.check"] and a
     terminal ["engine.receive"] span whose outcome is ["delivered"] or
     ["drop:<cause>"] with causes mirroring {!drops_by_cause} (a send-side
     keying failure terminates as ["engine.send"]/["drop:keying"]).  With
@@ -119,7 +131,9 @@ type flow_entry
 (** A TFKC/RFKC entry: the derived flow key plus lazily-expanded cipher
     and MAC key schedules.  The schedules share the entry's lifetime —
     cache eviction or invalidation drops key material and schedules
-    together ([fbs.engine.keysched.{hits,misses}] observe the reuse). *)
+    together ([fbs.engine.keysched.{hits,misses}] observe the reuse).
+    The Section 7.2 fast path holds entries from {!derive_flow_key} in
+    its own table on the same terms. *)
 
 val flow_entry_key : flow_entry -> string
 (** The flow key the entry caches schedules for. *)
@@ -148,58 +162,17 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
     Pass [Metrics.sub m "host.<addr>"] for a per-host view; registering
     several engines on one registry sums them. *)
 
-val send :
-  t ->
-  now:float ->
-  attrs:Fam.attrs ->
-  secret:bool ->
-  payload:string ->
-  ((string, error) result -> unit) ->
-  unit
-(** Classify into a flow, derive/cache the flow key, MAC, optionally
-    encrypt; the continuation receives the wire bytes. *)
-
-val send_classified :
-  ?confounder:int ->
-  t ->
-  now:float ->
-  sfl:Sfl.t ->
-  src:Principal.t ->
-  dst:Principal.t ->
-  secret:bool ->
-  payload:string ->
-  ((string, error) result -> unit) ->
-  unit
-(** {!send} for a datagram already classified by the caller's FAM — the
-    sharded dispatcher's entry point ({!Sharded}), where the sfl must be
-    known before a shard can be chosen.  Skips classification (and its
-    span/trace events); everything from the TFKC lookup on is identical
-    to {!send}.  [confounder] overrides the engine's own generator so a
-    dispatcher can draw confounders in input order, making sharded wire
-    output byte-identical to a single engine's. *)
-
-val seal :
-  t -> now:float -> sfl:Sfl.t -> flow_key:string -> secret:bool -> payload:string ->
-  string
-(** Steps S4-S10 only (header construction, MAC, optional encryption),
-    for callers that manage flow association and keys themselves (the
-    Section 7.2 combined FST+TFKC fast path). *)
-
-val send_sealed :
-  t -> now:float -> sfl:Sfl.t -> flow_key:string -> secret:bool -> payload:string ->
-  string
-(** [seal] plus send accounting. *)
-
 (** Cross-flow seal batching: the feed for the bitsliced DES kernel.
 
     CBC serializes cipher blocks within a flow but not across flows, so
-    secret DES-CBC sends through a batch defer their body encryption:
-    each datagram is fully assembled (header, MAC, reserved body region)
-    and its pending CBC chain queued; {!Batch.flush} advances all queued
-    chains in lockstep through {!Fbsr_crypto.Des_bitslice} and only then
-    fires the senders' continuations, so a caller never observes a
-    half-sealed datagram.  Results are byte-identical to the unbatched
-    {!send}, datagram for datagram. *)
+    secret DES-CBC sends given a batch ({!send}/{!send_flow} [?batch])
+    defer their body encryption: each datagram is fully assembled
+    (header, MAC, reserved body region) and its pending CBC chain queued;
+    {!Batch.flush} advances all queued chains in lockstep through
+    {!Fbsr_crypto.Des_bitslice} and only then fires the senders'
+    continuations, so a caller never observes a half-sealed datagram.
+    Results are byte-identical to the unbatched send, datagram for
+    datagram. *)
 module Batch : sig
   type batch
   (** A pending-seal queue bound to one engine. *)
@@ -227,92 +200,43 @@ module Batch : sig
       [Some counts] when a flush ran.  Call from the event loop. *)
 end
 
-val send_batched :
-  Batch.batch ->
-  now:float ->
-  attrs:Fam.attrs ->
-  secret:bool ->
-  payload:string ->
-  ((string, error) result -> unit) ->
-  unit
-(** {!send} with body encryption routed through the batch.  For
-    deferrable datagrams (secret, non-NOP suite, DES-CBC cipher) the
-    continuation fires from {!Batch.flush} — immediately when this
-    enqueue fills the batch, else at a later [flush]/[tick]; everything
-    else seals and delivers inline with {!send} semantics.  Counters,
-    spans and trace events match {!send} datagram for datagram (the
-    encryption is counted at enqueue; the seal span finishes at flush). *)
-
-val derive_flow_key :
-  t ->
-  sfl:Sfl.t ->
-  src:Principal.t ->
-  dst:Principal.t ->
-  ((string, error) result -> unit) ->
-  unit
-(** Flow-key derivation without consulting the TFKC (combined-path miss). *)
-
-type accepted = { header : Header.t; payload : string; peer : Principal.t }
-
-val receive :
-  t ->
-  now:float ->
-  src:Principal.t ->
-  wire:string ->
-  ((accepted, error) result -> unit) ->
-  unit
-(** [receive_slice] over the whole string (zero-cost wrapper). *)
-
-val receive_slice :
-  t ->
-  now:float ->
-  src:Principal.t ->
-  wire:Fbsr_util.Slice.t ->
-  ((accepted, error) result -> unit) ->
-  unit
-(** Zero-copy receive: parses the header as a borrowed view, verifies the
-    MAC against the wire bytes in place, and allocates only the plaintext
-    of an accepted secret datagram (plus the payload copy of an accepted
-    non-secret one).  The slice is only borrowed for the duration of the
-    call; [accepted] owns its bytes. *)
-
-(** Cross-flow receive batching: the decrypt-side mirror of {!Batch}.
+(** Cross-flow receive batching: the decrypt-side mirror of {!Batch},
+    built on the same queue skeleton.
 
     CBC decryption has no cross-block dependency at all, so secret
-    DES-CBC receives through a batch defer their body open: the scalar
-    prologue (header decode, suite enforcement, replay check — which
-    registers the frame — and the RFKC probe) runs at enqueue in arrival
-    order, so every early-refusal verdict, replay registration and drop
-    counter is identical to the scalar {!receive}, frame for frame.
-    {!Batch_rx.flush} then advances all queued opens in lockstep through
-    {!Fbsr_crypto.Des_bitslice}, verifies each frame's MAC over the
-    completed plaintext and delivers verdicts in enqueue order — so
-    per-flow delivery order is preserved and a caller never observes a
-    half-opened datagram.  Accept/drop verdicts and payload bytes are
-    identical to the unbatched {!receive}, frame for frame. *)
+    DES-CBC receives given a batch ({!receive} [?batch]) defer their
+    body open: the receive prologue (header decode, suite enforcement,
+    replay check — which registers the frame — and the RFKC probe) runs
+    at enqueue in arrival order, so every early-refusal verdict, replay
+    registration and drop counter is identical to the inline receive,
+    frame for frame.  {!Batch_rx.flush} then advances all queued opens in
+    lockstep through {!Fbsr_crypto.Des_bitslice}, verifies each frame's
+    MAC over the completed plaintext and delivers verdicts in enqueue
+    order — so per-flow delivery order is preserved and a caller never
+    observes a half-opened datagram.  Accept/drop verdicts and payload
+    bytes are identical to the inline receive, frame for frame. *)
 module Batch_rx : sig
   type batch
   (** A pending-open queue bound to one engine. *)
 
   val create :
     ?threshold:int -> ?capacity:int -> ?linger:float -> t -> batch
-  (** [threshold] (default 24): minimum jobs per kernel group to take
-      the cross-flow bitsliced path; smaller flushes run each job on the
-      per-datagram kernel (identical bytes).  [capacity] (default
-      {!Fbsr_crypto.Des_bitslice.lanes}): enqueue auto-flushes when the
-      queue reaches this size.  [linger] (default 1 ms): {!tick} flushes
-      a partial batch older than this. *)
+  (** As {!Batch.create}: [threshold] (default 24) minimum jobs per kernel
+      group for the cross-flow bitsliced path, smaller flushes run each
+      job on the per-datagram kernel (identical bytes); [capacity]
+      (default {!Fbsr_crypto.Des_bitslice.lanes}) auto-flush size;
+      [linger] (default 1 ms) {!tick}'s age limit. *)
 
   val set_on_park : batch -> (unit -> unit) -> unit
   (** [set_on_park b f] installs [f] to run after every enqueue that
       leaves a frame parked (i.e. that did not trigger a capacity
       flush).  Deferrable frames whose keying suspended enqueue {e
       later}, when the continuation resumes in another event — after
-      {!receive_batched} has already returned — so a caller that arms
-      its linger flush only when it observes {!pending} grow
-      synchronously would never flush such a frame.  Install the
-      flush-arming logic here instead; the hook always runs in the
-      event that performed the enqueue. *)
+      {!receive} has already returned — so a caller that arms its linger
+      flush only when it observes {!pending} grow synchronously would
+      never flush such a frame.  Install the flush-arming logic here
+      instead; the hook always runs in the event that performed the
+      enqueue. *)
 
   val pending : batch -> int
   (** Frames currently queued.  A queued frame's plaintext string (the
@@ -333,33 +257,106 @@ module Batch_rx : sig
       [Some counts] when a flush ran.  Call from the event loop. *)
 end
 
-val receive_batched :
-  Batch_rx.batch ->
+val send :
+  ?batch:Batch.batch ->
+  t ->
+  now:float ->
+  attrs:Fam.attrs ->
+  secret:bool ->
+  payload:string ->
+  ((string, error) result -> unit) ->
+  unit
+(** FBSSend(): classify into a flow, find the flow entry in the TFKC
+    (deriving the flow key on a miss), MAC, optionally encrypt; the
+    continuation receives the wire bytes.
+
+    With [batch], a deferrable datagram (secret, DES-CBC suite) has its
+    body encryption queued and the continuation fires from
+    {!Batch.flush} — immediately when this enqueue fills the batch, else
+    at a later [flush]/[tick]; everything else seals and delivers
+    inline.  Wire bytes, counters, spans and trace events are the same
+    either way, datagram for datagram (the encryption is counted at
+    enqueue; the seal span finishes at flush).
+    @raise Invalid_argument if [batch] belongs to another engine. *)
+
+val send_flow :
+  ?confounder:int ->
+  ?batch:Batch.batch ->
+  ?entry:flow_entry ->
+  t ->
+  now:float ->
+  sfl:Sfl.t ->
+  src:Principal.t ->
+  dst:Principal.t ->
+  secret:bool ->
+  payload:string ->
+  ((string, error) result -> unit) ->
+  unit
+(** {!send} for a datagram the caller has already classified: the
+    sharded dispatcher ({!Sharded}), where the sfl must be known before
+    a shard can be chosen, and the Section 7.2 combined FST+TFKC fast
+    path, whose one table probe yields the sfl and the flow entry
+    together.  Skips classification (and its span/trace events).
+    [entry] (from {!derive_flow_key}) also skips the TFKC: the datagram
+    goes straight to steps S4-S10 with the entry's cached schedules and
+    MAC midstate.  [confounder] overrides the engine's own generator so
+    a dispatcher can draw confounders in input order, making sharded
+    wire output byte-identical to a single engine's; it applies to
+    batched sends too.  [batch] as for {!send}. *)
+
+val derive_flow_key :
+  t ->
+  sfl:Sfl.t ->
+  src:Principal.t ->
+  dst:Principal.t ->
+  ((flow_entry, error) result -> unit) ->
+  unit
+(** Flow-key derivation without consulting the TFKC (combined-path
+    miss).  The caller keeps the entry and hands it to {!send_flow}; the
+    entry's schedules are expanded on first use and reused for as long
+    as the caller keeps it. *)
+
+type accepted = { header : Header.t; payload : string; peer : Principal.t }
+
+val receive :
+  ?batch:Batch_rx.batch ->
+  t ->
   now:float ->
   src:Principal.t ->
-  wire:string ->
+  wire:Fbsr_util.Slice.t ->
   ((accepted, error) result -> unit) ->
   unit
-(** {!receive} with the body open routed through the batch.  For
-    deferrable frames (secret, encrypting armor with a batched decrypt
-    kernel — DES-CBC suites) the continuation fires from
-    {!Batch_rx.flush} — immediately when this enqueue fills the batch,
-    else at a later [flush]/[tick]; the wire string is borrowed by the
-    queue until that flush.  When the keying layer suspends (cold flow),
-    the enqueue itself is deferred to the resumed continuation's event —
-    use {!Batch_rx.set_on_park} to learn of it, since [pending] will not
-    have grown when this call returns.  Everything else — prologue
-    refusals,
-    non-secret bodies, NOP and non-DES-CBC suites, frames whose
-    ciphertext is rejected up front (bad length, corrupt padding) —
-    resolves inline with {!receive} semantics, counter for counter. *)
+(** FBSReceive(), zero-copy: parses the header as a borrowed view,
+    verifies the MAC against the wire bytes in place, and allocates only
+    the plaintext of an accepted secret datagram (plus the payload copy
+    of an accepted non-secret one).  [accepted] owns its bytes.
+
+    Without [batch] the verdict is delivered before a non-suspending
+    call returns, and the slice is only borrowed for the call.  With
+    [batch], a deferrable frame (secret, encrypting armor with a batched
+    decrypt kernel — DES-CBC suites) has its body open queued and the
+    continuation fires from {!Batch_rx.flush} — immediately when this
+    enqueue fills the batch, else at a later [flush]/[tick]; the slice's
+    bytes are borrowed by the queue until that flush.  When the keying
+    layer suspends (cold flow), the enqueue itself happens in the
+    resumed continuation's event — use {!Batch_rx.set_on_park} to learn
+    of it.  Everything else — prologue refusals, non-secret bodies, NOP
+    and non-DES-CBC suites, frames whose ciphertext is rejected up front
+    (bad length, corrupt padding) — resolves inline, counter for
+    counter.
+    @raise Invalid_argument if [batch] belongs to another engine. *)
 
 val send_sync :
   t -> now:float -> attrs:Fam.attrs -> secret:bool -> payload:string ->
   (string, error) result
+(** {!send}, for callers whose keying resolver completes inline.
+    @raise Invalid_argument if the resolver suspends. *)
 
 val receive_sync :
   t -> now:float -> src:Principal.t -> wire:string -> (accepted, error) result
+(** {!receive} over a whole string, for callers whose keying resolver
+    completes inline.
+    @raise Invalid_argument if the resolver suspends. *)
 
 val header_overhead : t -> int
 (** Bytes the FBS header adds to every datagram. *)

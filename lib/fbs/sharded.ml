@@ -116,8 +116,8 @@ let send_all t ~now ~secret jobs =
   let results = Array.make n None in
   run_buckets t buckets (fun s i ->
       let attrs, payload = jobs.(i) in
-      Engine.send_classified ~confounder:confs.(i) t.engines.(s) ~now
-        ~sfl:sfls.(i) ~src:attrs.Fam.src ~dst:attrs.Fam.dst ~secret ~payload
+      Engine.send_flow ~confounder:confs.(i) t.engines.(s) ~now ~sfl:sfls.(i)
+        ~src:attrs.Fam.src ~dst:attrs.Fam.dst ~secret ~payload
         (fun r -> results.(i) <- Some r));
   t.on_tick ~now;
   Array.map (settled "send_all") results
@@ -136,11 +136,12 @@ let receive_all t ~now ~src wires =
   (* Each shard's bucket feeds its receive batch: prologue per frame in
      input order, one cross-flow bitsliced decrypt sweep per flush (the
      queue auto-flushes at capacity; the end-of-bucket flush drains the
-     remainder), verdicts identical to scalar [Engine.receive]. *)
+     remainder), verdicts identical to unbatched [Engine.receive]. *)
   run_buckets t buckets
     ~after:(fun s -> ignore (Engine.Batch_rx.flush t.rx_batches.(s) : int * int))
     (fun s i ->
-      Engine.receive_batched t.rx_batches.(s) ~now ~src ~wire:wires.(i)
+      Engine.receive ~batch:t.rx_batches.(s) t.engines.(s) ~now ~src
+        ~wire:(Fbsr_util.Slice.of_string wires.(i))
         (fun r -> results.(i) <- Some r));
   t.on_tick ~now;
   Array.map (settled "receive_all") results

@@ -105,7 +105,7 @@ val receive_all :
     frame in input order, deferred body opens run in cross-flow
     bitsliced sweeps, and the bucket flushes its queue before the
     domains join — verdicts, payload bytes and counters (beyond the
-    [rx_batch_*] pair) are identical to scalar {!Engine.receive},
+    [rx_batch_*] pair) are identical to unbatched {!Engine.receive},
     frame for frame. *)
 
 val register_metrics : t -> Fbsr_util.Metrics.t -> unit

@@ -66,7 +66,8 @@ let handle t ~src ~src_port raw =
   | None -> t.counters.rejected <- t.counters.rejected + 1
   | Some (name, wire) ->
       let peer = Fbsr_fbs.Principal.of_string name in
-      Fbsr_fbs.Engine.receive t.engine ~now:(Host.now t.host) ~src:peer ~wire (function
+      Fbsr_fbs.Engine.receive t.engine ~now:(Host.now t.host) ~src:peer
+        ~wire:(Fbsr_util.Slice.of_string wire) (function
         | Ok acc ->
             t.counters.received <- t.counters.received + 1;
             t.on_receive

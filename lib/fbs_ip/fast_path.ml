@@ -10,9 +10,13 @@
    TFKC), thus saving an extra lookup.  The job of the sweeper module also
    becomes implicit as it is absorbed into the mapping phase."
 
-   One direct-mapped table holds (5-tuple, sfl, flow key, last use); a
+   One direct-mapped table holds (5-tuple, sfl, flow entry, last use); a
    single CRC-32 probe replaces the FAM classification plus the TFKC
-   lookup of the generic path.  Collisions evict (footnote 11). *)
+   lookup of the generic path.  The slot caches the engine's flow entry
+   itself — the flow key with its expanded cipher schedule and MAC
+   midstate — so interleaved flows each keep their own schedules and
+   the seal skips key expansion for as long as the slot lives.
+   Collisions evict (footnote 11). *)
 
 type entry = {
   mutable valid : bool;
@@ -22,7 +26,7 @@ type entry = {
   mutable dst : string;
   mutable dst_port : int;
   mutable sfl : Fbsr_fbs.Sfl.t;
-  mutable flow_key : string;
+  mutable entry : Fbsr_fbs.Engine.flow_entry option; (* None: derivation pending *)
   mutable last : float;
 }
 
@@ -48,7 +52,7 @@ let fresh_entry () =
     dst = "";
     dst_port = 0;
     sfl = Fbsr_fbs.Sfl.of_int64 0L;
-    flow_key = "";
+    entry = None;
     last = 0.0;
   }
 
@@ -64,7 +68,7 @@ let create ?(size = 256) ?(threshold = 600.0) ~alloc () =
 let counters t = t.counters
 
 type lookup =
-  | Hit of Fbsr_fbs.Sfl.t * string (* active entry: sfl and flow key *)
+  | Hit of Fbsr_fbs.Sfl.t * Fbsr_fbs.Engine.flow_entry (* active: sfl and entry *)
   | Miss of Fbsr_fbs.Sfl.t (* new flow started; key must be derived *)
 
 (* One probe: classification and key lookup in a single table access. *)
@@ -78,18 +82,18 @@ let lookup t ~now ~protocol ~src ~src_port ~dst ~dst_port =
     e.valid && e.protocol = protocol && e.src_port = src_port && e.dst_port = dst_port
     && String.equal e.src src && String.equal e.dst dst
   in
-  if matches && now -. e.last <= t.threshold && e.flow_key <> "" then begin
+  if matches && now -. e.last <= t.threshold then begin
     e.last <- now;
-    t.counters.hits <- t.counters.hits + 1;
-    Hit (e.sfl, e.flow_key)
-  end
-  else if matches && now -. e.last <= t.threshold then begin
-    (* Entry is live but its key derivation is still in flight (an MKD
-       fetch is round-tripping).  Keep the flow: same sfl, and let the
-       caller wait on the coalesced derivation rather than restarting. *)
-    e.last <- now;
-    t.counters.misses <- t.counters.misses + 1;
-    Miss e.sfl
+    match e.entry with
+    | Some entry ->
+        t.counters.hits <- t.counters.hits + 1;
+        Hit (e.sfl, entry)
+    | None ->
+        (* Entry is live but its key derivation is still in flight (an MKD
+           fetch is round-tripping).  Keep the flow: same sfl, and let the
+           caller wait on the coalesced derivation rather than restarting. *)
+        t.counters.misses <- t.counters.misses + 1;
+        Miss e.sfl
   end
   else begin
     if e.valid && not matches then t.counters.collisions <- t.counters.collisions + 1;
@@ -102,17 +106,17 @@ let lookup t ~now ~protocol ~src ~src_port ~dst ~dst_port =
     e.dst <- dst;
     e.dst_port <- dst_port;
     e.sfl <- sfl;
-    e.flow_key <- ""; (* pending derivation *)
+    e.entry <- None; (* pending derivation *)
     e.last <- now;
     Miss sfl
   end
 
-(* Install the derived key for the entry currently holding [sfl] (it may
-   have been evicted meanwhile — then the key is simply not cached, which
-   is fine for soft state). *)
-let install_key t ~sfl ~flow_key =
+(* Install the derived flow entry for the slot currently holding [sfl]
+   (it may have been evicted meanwhile — then the entry is simply not
+   cached, which is fine for soft state). *)
+let install_entry t ~sfl ~entry =
   Array.iter
-    (fun e -> if e.valid && Fbsr_fbs.Sfl.equal e.sfl sfl then e.flow_key <- flow_key)
+    (fun e -> if e.valid && Fbsr_fbs.Sfl.equal e.sfl sfl then e.entry <- Some entry)
     t.table
 
 let active t ~now =

@@ -204,60 +204,36 @@ let decap t (h : Ipv4.header) payload : (Ipv4.header * Fbsr_util.Slice.t) option
       else None
 
 (* Send processing via the combined table (Section 7.2): one probe yields
-   both the sfl and the flow key; a miss derives the key (possibly
+   both the sfl and the flow entry; a miss derives the entry (possibly
    suspending on an MKD fetch) and installs it. *)
-let output_via_fast_path t fp (h : Ipv4.header) payload ~src_port ~dst_port ~secret ~now
-    : Host.hook_result =
+let send_via_fast_path t fp (h : Ipv4.header) payload ~src_port ~dst_port ~secret ~now
+    k =
   let src = Addr.to_string h.src and dst = Addr.to_string h.dst in
+  let src_p = Fbsr_fbs.Principal.of_string src
+  and dst_p = Fbsr_fbs.Principal.of_string dst in
   match
     Fast_path.lookup fp ~now ~protocol:h.protocol ~src ~src_port ~dst ~dst_port
   with
-  | Fast_path.Hit (sfl, flow_key) ->
+  | Fast_path.Hit (sfl, entry) ->
+      Fbsr_fbs.Engine.send_flow ~entry t.engine ~now ~sfl ~src:src_p ~dst:dst_p ~secret
+        ~payload k
+  | Fast_path.Miss sfl ->
+      Fbsr_fbs.Engine.derive_flow_key t.engine ~sfl ~src:src_p ~dst:dst_p (function
+        | Error e -> k (Error e)
+        | Ok entry ->
+            Fast_path.install_entry fp ~sfl ~entry;
+            Fbsr_fbs.Engine.send_flow ~entry t.engine ~now ~sfl ~src:src_p ~dst:dst_p
+              ~secret ~payload k)
+
+(* Late completion of a send: the datagram was parked during an MKD
+   fetch and is transmitted from the resumed continuation. *)
+let sealed_late t h = function
+  | Ok wire ->
+      t.counters.resumed <- t.counters.resumed + 1;
       t.counters.sent <- t.counters.sent + 1;
-      let h, p =
-        encap t h
-          (Fbsr_fbs.Engine.send_sealed t.engine ~now ~sfl ~flow_key ~secret ~payload)
-      in
-      Host.Pass (h, p)
-  | Fast_path.Miss sfl -> (
-      let sync_result = ref None in
-      let completed_sync = ref true in
-      Fbsr_fbs.Engine.derive_flow_key t.engine ~sfl
-        ~src:(Fbsr_fbs.Principal.of_string src)
-        ~dst:(Fbsr_fbs.Principal.of_string dst)
-        (fun r ->
-          (match r with
-          | Ok flow_key -> Fast_path.install_key fp ~sfl ~flow_key
-          | Error _ -> ());
-          if !completed_sync then sync_result := Some r
-          else
-            match r with
-            | Ok flow_key ->
-                t.counters.resumed <- t.counters.resumed + 1;
-                t.counters.sent <- t.counters.sent + 1;
-                let h, p =
-                  encap t h
-                    (Fbsr_fbs.Engine.send_sealed t.engine ~now ~sfl ~flow_key ~secret
-                       ~payload)
-                in
-                Host.transmit_prepared t.host h p
-            | Error _ -> t.counters.dropped_error <- t.counters.dropped_error + 1);
-      completed_sync := false;
-      match !sync_result with
-      | Some (Ok flow_key) ->
-          t.counters.sent <- t.counters.sent + 1;
-          let h, p =
-            encap t h
-              (Fbsr_fbs.Engine.send_sealed t.engine ~now ~sfl ~flow_key ~secret
-                 ~payload)
-          in
-          Host.Pass (h, p)
-      | Some (Error _) ->
-          t.counters.dropped_error <- t.counters.dropped_error + 1;
-          Host.Drop "fbs send error"
-      | None ->
-          t.counters.suspended_out <- t.counters.suspended_out + 1;
-          Host.Drop "fbs awaiting master key")
+      let h, p = encap t h wire in
+      Host.transmit_prepared t.host h p
+  | Error _ -> t.counters.dropped_error <- t.counters.dropped_error + 1
 
 let output_hook t (h : Ipv4.header) payload : Host.hook_result =
   if t.config.bypass h.dst then begin
@@ -266,30 +242,23 @@ let output_hook t (h : Ipv4.header) payload : Host.hook_result =
   end
   else begin
     let src_port, dst_port = peek_ports ~protocol:h.protocol payload in
-    let attrs =
-      Fbsr_fbs.Fam.attrs ~protocol:h.protocol ~src_port ~dst_port
-        ~size:(String.length payload) ~src:(principal_of_addr h.src)
-        ~dst:(principal_of_addr h.dst) ()
-    in
     let secret = t.config.secret_policy ~protocol:h.protocol ~src_port ~dst_port in
     let now = Host.now t.host in
-    match t.fast_path with
-    | Some fp -> output_via_fast_path t fp h payload ~src_port ~dst_port ~secret ~now
-    | None ->
+    (* Both send paths share one completion: a verdict before the engine
+       call returns passes the datagram on; a later one finishes it from
+       the resumed continuation. *)
     let sync_result = ref None in
     let completed_sync = ref true in
-    Fbsr_fbs.Engine.send t.engine ~now ~attrs ~secret ~payload (fun r ->
-        if !completed_sync then sync_result := Some r
-        else begin
-          (* Late completion: the datagram was parked during an MKD fetch. *)
-          match r with
-          | Ok wire ->
-              t.counters.resumed <- t.counters.resumed + 1;
-              t.counters.sent <- t.counters.sent + 1;
-              let h, p = encap t h wire in
-              Host.transmit_prepared t.host h p
-          | Error _ -> t.counters.dropped_error <- t.counters.dropped_error + 1
-        end);
+    let k r = if !completed_sync then sync_result := Some r else sealed_late t h r in
+    (match t.fast_path with
+    | Some fp -> send_via_fast_path t fp h payload ~src_port ~dst_port ~secret ~now k
+    | None ->
+        let attrs =
+          Fbsr_fbs.Fam.attrs ~protocol:h.protocol ~src_port ~dst_port
+            ~size:(String.length payload) ~src:(principal_of_addr h.src)
+            ~dst:(principal_of_addr h.dst) ()
+        in
+        Fbsr_fbs.Engine.send t.engine ~now ~attrs ~secret ~payload k);
     completed_sync := false;
     match !sync_result with
     | Some (Ok wire) ->
@@ -303,6 +272,12 @@ let output_hook t (h : Ipv4.header) payload : Host.hook_result =
         t.counters.suspended_out <- t.counters.suspended_out + 1;
         Host.Drop "fbs awaiting master key"
   end
+
+(* Frames parked in the receive batch (0 without one). *)
+let rx_queued t =
+  match t.rx_batch with
+  | Some b -> Fbsr_fbs.Engine.Batch_rx.pending b
+  | None -> 0
 
 let input_hook t (h : Ipv4.header) payload : Host.hook_result =
   if t.config.bypass h.src then begin
@@ -359,34 +334,17 @@ let input_hook t (h : Ipv4.header) payload : Host.hook_result =
         | Error _ -> t.counters.dropped_error <- t.counters.dropped_error + 1
       end
     in
-    (match t.rx_batch with
-    | None -> Fbsr_fbs.Engine.receive_slice t.engine ~now ~src ~wire k
-    | Some b ->
-        let before = Fbsr_fbs.Engine.Batch_rx.pending b in
-        (* The queue borrows the wire until its flush, so it needs the
-           whole backing string.  Both decap modes already hand out a
-           slice spanning a fresh-or-owned heap string (shim borrows the
-           IP payload, option mode a fresh rejoin), so this is
-           allocation-free. *)
-        let wire_s =
-          if
-            wire.Fbsr_util.Slice.off = 0
-            && wire.Fbsr_util.Slice.len = String.length wire.Fbsr_util.Slice.base
-          then wire.Fbsr_util.Slice.base
-          else Fbsr_util.Slice.to_string wire
-        in
-        Fbsr_fbs.Engine.receive_batched b ~now ~src ~wire:wire_s k;
-        (* Queued synchronously (not refused inline, not delivered by a
-           capacity flush).  The linger flush is armed by the batch's
-           on-park hook (see [install]), not here: a frame that suspends
-           on the receive-side master-key fetch enqueues later, from the
-           resumed keying continuation's event, where no synchronous
-           check in this hook could observe it — arming only from here
-           would park such a frame indefinitely. *)
-        if
-          Option.is_none !sync_result
-          && Fbsr_fbs.Engine.Batch_rx.pending b = before + 1
-        then batch_parked := true);
+    let before = rx_queued t in
+    Fbsr_fbs.Engine.receive ?batch:t.rx_batch t.engine ~now ~src ~wire k;
+    (* Queued synchronously (not refused inline, not delivered by a
+       capacity flush).  The linger flush is armed by the batch's on-park
+       hook (see [install]), not here: a frame that suspends on the
+       receive-side master-key fetch enqueues later, from the resumed
+       keying continuation's event, where no synchronous check in this
+       hook could observe it — arming only from here would park such a
+       frame indefinitely. *)
+    if Option.is_none !sync_result && rx_queued t = before + 1 then
+      batch_parked := true;
     completed_sync := false;
     match !sync_result with
     | Some (Ok acc) ->

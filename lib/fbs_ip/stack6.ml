@@ -58,7 +58,8 @@ let open_packet engine ~now raw (k : (opened, error) result -> unit) =
   | exception Ipv6.Bad_packet m -> k (Error (Bad_ipv6 m))
   | h, wire ->
       let src = principal_of_addr6 h.Ipv6.src in
-      Fbsr_fbs.Engine.receive engine ~now ~src ~wire (function
+      Fbsr_fbs.Engine.receive engine ~now ~src ~wire:(Fbsr_util.Slice.of_string wire)
+        (function
         | Error e -> k (Error (Fbs e))
         | Ok accepted ->
             k

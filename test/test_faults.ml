@@ -315,8 +315,9 @@ let test_batched_wires_over_drop_reorder_link () =
   let got = Array.make (flows * rounds) None in
   for i = 0 to (flows * rounds) - 1 do
     let f = i mod flows and r = i / flows in
-    FEngine.send_batched batch ~now:60.0 ~attrs:batched_attrs.(f) ~secret:true
-      ~payload:(payload f r) (fun w -> got.(i) <- Some w)
+    FEngine.send ~batch batched_pair.Fixture.sender ~now:60.0
+      ~attrs:batched_attrs.(f) ~secret:true ~payload:(payload f r) (fun w ->
+        got.(i) <- Some w)
   done;
   let bs, _sc = FEngine.Batch.flush batch in
   check Alcotest.bool "flush ran bitsliced" true (bs > 0);
@@ -376,7 +377,7 @@ let test_batch_tick_linger_flush () =
   let batch = FEngine.Batch.create ~linger:0.001 p.Fixture.sender in
   let delivered = ref 0 in
   for i = 0 to 3 do
-    FEngine.send_batched batch ~now:60.0 ~attrs:attrs.(i) ~secret:true
+    FEngine.send ~batch p.Fixture.sender ~now:60.0 ~attrs:attrs.(i) ~secret:true
       ~payload:"linger" (function
       | Ok _ -> incr delivered
       | Error e -> Alcotest.failf "send: %a" FEngine.pp_error e)
@@ -408,7 +409,7 @@ let test_batched_span_accounting () =
   let batch = FEngine.Batch.create p.Fixture.sender in
   let wires = ref [] in
   for i = 0 to 4 do
-    FEngine.send_batched batch ~now:60.0 ~attrs:attrs.(i) ~secret:true
+    FEngine.send ~batch p.Fixture.sender ~now:60.0 ~attrs:attrs.(i) ~secret:true
       ~payload:(Printf.sprintf "span %d" i) (function
       | Ok w -> wires := w :: !wires
       | Error e -> Alcotest.failf "send: %a" FEngine.pp_error e)
@@ -523,8 +524,8 @@ let test_batched_rx_faulty_frames_partial_batch () =
   let got = Array.make n None in
   Array.iteri
     (fun i wire ->
-      FEngine.receive_batched batch ~now:60.0 ~src:bp.Fixture.src ~wire
-        (fun r -> got.(i) <- Some r))
+      FEngine.receive ~batch bp.Fixture.receiver ~now:60.0 ~src:bp.Fixture.src
+        ~wire:(Fbsr_util.Slice.of_string wire) (fun r -> got.(i) <- Some r))
     (schedule bw);
   check Alcotest.bool "batch stayed partial until the explicit flush" true
     (FEngine.Batch_rx.pending batch > 0

@@ -1037,7 +1037,7 @@ let test_engine_des3_key_expansion () =
       in
       let flow_key = ref "" in
       Engine.derive_flow_key es ~sfl:h.Header.sfl ~src:s ~dst:d (function
-        | Ok k -> flow_key := k
+        | Ok e -> flow_key := Engine.flow_entry_key e
         | Error e -> Alcotest.failf "derive: %a" Engine.pp_error e);
       check Alcotest.bool "flow key shorter than 24 bytes" true
         (String.length !flow_key < 24);
@@ -1166,7 +1166,7 @@ let test_engine_midstate_seal_byte_equal () =
       in
       let flow_key = ref "" in
       Engine.derive_flow_key es ~sfl:h.Header.sfl ~src:s ~dst:d (function
-        | Ok k -> flow_key := k
+        | Ok e -> flow_key := Engine.flow_entry_key e
         | Error e -> Alcotest.failf "derive: %a" Engine.pp_error e);
       let prelude =
         Header.auth_bytes h ^ Header.confounder_bytes h ^ Header.timestamp_bytes h
@@ -1197,7 +1197,7 @@ let test_engine_send_batched_byte_equal () =
     let batch = Engine.Batch.create ~threshold es_batched in
     let got = Array.make flows None in
     for i = 0 to flows - 1 do
-      Engine.send_batched batch ~now:!clock ~attrs:(attrs_for (1000 + i) s2 d2)
+      Engine.send ~batch es_batched ~now:!clock ~attrs:(attrs_for (1000 + i) s2 d2)
         ~secret:true ~payload:(payload i) (fun r -> got.(i) <- Some r)
     done;
     (* Deferred: nothing delivered before the flush. *)
@@ -1252,7 +1252,51 @@ let test_engine_send_batched_byte_equal () =
       check Alcotest.string (Printf.sprintf "wire %d (bitsliced flush)" i)
         (Fbsr_util.Hex.encode scalar_wires2.(i))
         (Fbsr_util.Hex.encode w))
-    batched_wires2
+    batched_wires2;
+  (* Round 3: pre-classified sends with explicit confounders (the sharded
+     dispatcher's entry point).  The override must hold on the deferred
+     path too, so the batched wires still match the inline ones. *)
+  let header_of w =
+    match Header.decode w with
+    | Ok (h, _) -> h
+    | Error _ -> Alcotest.fail "wire undecodable"
+  in
+  let confounder i = 0x5a5a0000 + (i * 7919) in
+  let inline_wires3 =
+    Array.init flows (fun i ->
+        let got = ref None in
+        Engine.send_flow ~confounder:(confounder i) es_scalar ~now:!clock
+          ~sfl:(header_of scalar_wires2.(i)).Header.sfl ~src:s ~dst:d ~secret:true
+          ~payload:(payload i) (fun r -> got := Some r);
+        match !got with
+        | Some (Ok w) -> w
+        | Some (Error e) -> Alcotest.failf "inline send_flow: %a" Engine.pp_error e
+        | None -> Alcotest.fail "inline send_flow did not deliver")
+  in
+  let batch = Engine.Batch.create ~threshold:1 es_batched in
+  let got = Array.make flows None in
+  for i = 0 to flows - 1 do
+    Engine.send_flow ~confounder:(confounder i) ~batch es_batched ~now:!clock
+      ~sfl:(header_of batched_wires2.(i)).Header.sfl ~src:s2 ~dst:d2 ~secret:true
+      ~payload:(payload i) (fun r -> got.(i) <- Some r)
+  done;
+  check Alcotest.int "pre-classified sends queued" flows (Engine.Batch.pending batch);
+  let bs3, _ = Engine.Batch.flush batch in
+  check Alcotest.bool "bitsliced blocks ran (explicit confounders)" true (bs3 > 0);
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Some (Ok w) ->
+          check Alcotest.int
+            (Printf.sprintf "wire %d carries the explicit confounder" i)
+            (confounder i) (header_of w).Header.confounder;
+          check Alcotest.string
+            (Printf.sprintf "wire %d (explicit confounder, batched)" i)
+            (Fbsr_util.Hex.encode inline_wires3.(i))
+            (Fbsr_util.Hex.encode w)
+      | Some (Error e) -> Alcotest.failf "batched send_flow: %a" Engine.pp_error e
+      | None -> Alcotest.fail "flush did not deliver")
+    got
 
 let test_engine_batch_capacity_autoflush () =
   (* Filling the batch to capacity flushes without an explicit call; a
@@ -1262,7 +1306,7 @@ let test_engine_batch_capacity_autoflush () =
   let batch = Engine.Batch.create ~capacity:4 es in
   let delivered = ref 0 in
   for i = 0 to 3 do
-    Engine.send_batched batch ~now:!clock
+    Engine.send ~batch es ~now:!clock
       ~attrs:(Fam.attrs ~protocol:17 ~src_port:(3000 + i) ~dst_port:2 ~src:s ~dst:d ())
       ~secret:true ~payload:"autoflush" (function
       | Ok _ -> incr delivered
@@ -1271,13 +1315,19 @@ let test_engine_batch_capacity_autoflush () =
   check Alcotest.int "capacity reached: everything delivered" 4 !delivered;
   check Alcotest.int "queue empty after autoflush" 0 (Engine.Batch.pending batch);
   let inline = ref false in
-  Engine.send_batched batch ~now:!clock
+  Engine.send ~batch es ~now:!clock
     ~attrs:(Fam.attrs ~protocol:17 ~src_port:3999 ~dst_port:2 ~src:s ~dst:d ())
     ~secret:false ~payload:"inline" (function
     | Ok _ -> inline := true
     | Error e -> Alcotest.failf "send: %a" Engine.pp_error e);
   check Alcotest.bool "non-secret delivers inline" true !inline;
-  check Alcotest.int "non-secret never queues" 0 (Engine.Batch.pending batch)
+  check Alcotest.int "non-secret never queues" 0 (Engine.Batch.pending batch);
+  let _, _, _, other, _ = make_engines ~suite:Suite.paper_md5_des () in
+  Alcotest.check_raises "a batch serves only its own engine"
+    (Invalid_argument "Engine.send: batch bound to another engine") (fun () ->
+      Engine.send ~batch other ~now:!clock
+        ~attrs:(Fam.attrs ~protocol:17 ~src_port:3998 ~dst_port:2 ~src:s ~dst:d ())
+        ~secret:true ~payload:"misrouted" (fun _ -> ()))
 
 (* Receive-side twin of the batched-seal differential: the same wires
    opened through scalar [receive] and through a [Batch_rx] must produce
@@ -1345,8 +1395,8 @@ let test_engine_receive_batched_equals_scalar () =
           let b = Engine.Batch_rx.create ~threshold ed_batched in
           List.iteri
             (fun i (_, w) ->
-              Engine.receive_batched b ~now:!clock ~src:s ~wire:w (fun r ->
-                  got.(i) <- Some r))
+              Engine.receive ~batch:b ed_batched ~now:!clock ~src:s
+                ~wire:(Fbsr_util.Slice.of_string w) (fun r -> got.(i) <- Some r))
             wires;
           let deferrable =
             if batchable then
@@ -1405,7 +1455,8 @@ let test_engine_batch_rx_capacity_autoflush () =
   let b = Engine.Batch_rx.create ~capacity:4 ed in
   let delivered = ref 0 in
   for i = 0 to 3 do
-    Engine.receive_batched b ~now:!clock ~src:s ~wire:(wire_for i true) (function
+    Engine.receive ~batch:b ed ~now:!clock ~src:s
+      ~wire:(Fbsr_util.Slice.of_string (wire_for i true)) (function
       | Ok acc ->
           check Alcotest.string "payload roundtrips"
             (Printf.sprintf "rx autoflush %d" i)
@@ -1416,7 +1467,8 @@ let test_engine_batch_rx_capacity_autoflush () =
   check Alcotest.int "capacity reached: everything delivered" 4 !delivered;
   check Alcotest.int "queue empty after autoflush" 0 (Engine.Batch_rx.pending b);
   let inline = ref false in
-  Engine.receive_batched b ~now:!clock ~src:s ~wire:(wire_for 9 false) (function
+  Engine.receive ~batch:b ed ~now:!clock ~src:s
+    ~wire:(Fbsr_util.Slice.of_string (wire_for 9 false)) (function
     | Ok _ -> inline := true
     | Error e -> Alcotest.failf "receive: %a" Engine.pp_error e);
   check Alcotest.bool "non-secret delivers inline" true !inline;
@@ -1440,7 +1492,8 @@ let test_engine_batch_rx_tick_linger () =
   in
   let b = Engine.Batch_rx.create ~linger:0.5 ed in
   let got = ref None in
-  Engine.receive_batched b ~now:!clock ~src:s ~wire (fun r -> got := Some r);
+  Engine.receive ~batch:b ed ~now:!clock ~src:s ~wire:(Fbsr_util.Slice.of_string wire)
+    (fun r -> got := Some r);
   check Alcotest.int "queued" 1 (Engine.Batch_rx.pending b);
   (match Engine.Batch_rx.tick b ~now:(!clock +. 0.2) with
   | None -> ()
@@ -1475,10 +1528,11 @@ let test_engine_batch_rx_replay_at_enqueue () =
   in
   let b = Engine.Batch_rx.create ed in
   let first = ref None in
-  Engine.receive_batched b ~now:!clock ~src:s ~wire (fun r -> first := Some r);
+  let wire = Fbsr_util.Slice.of_string wire in
+  Engine.receive ~batch:b ed ~now:!clock ~src:s ~wire (fun r -> first := Some r);
   check Alcotest.int "first copy queued" 1 (Engine.Batch_rx.pending b);
   let second = ref None in
-  Engine.receive_batched b ~now:!clock ~src:s ~wire (fun r -> second := Some r);
+  Engine.receive ~batch:b ed ~now:!clock ~src:s ~wire (fun r -> second := Some r);
   (match !second with
   | Some (Error Engine.Duplicate) -> ()
   | Some _ -> Alcotest.fail "duplicate not refused as Duplicate"
@@ -1773,7 +1827,8 @@ let test_engine_async_receive () =
     Result.get_ok (Engine.send_sync es ~now:60.0 ~attrs ~secret:true ~payload:"late")
   in
   let result = ref None in
-  Engine.receive ed ~now:60.0 ~src:s ~wire (fun r -> result := Some r);
+  Engine.receive ed ~now:60.0 ~src:s ~wire:(Fbsr_util.Slice.of_string wire) (fun r ->
+      result := Some r);
   check Alcotest.bool "receive suspended" true (!result = None);
   (match !deferred with
   | Some (peer, k) ->
@@ -1782,6 +1837,63 @@ let test_engine_async_receive () =
   match !result with
   | Some (Ok acc) -> check Alcotest.string "payload" "late" acc.Engine.payload
   | _ -> Alcotest.fail "continuation did not complete"
+
+let test_engine_sync_wrappers_refuse_suspension () =
+  (* [send_sync]/[receive_sync] have no verdict to return while the
+     resolver is still fetching: they raise, rather than report a keying
+     error for a datagram that is sealed or accepted anyway once the
+     certificate arrives. *)
+  let rng = Fbsr_util.Rng.create 35 in
+  let group = Lazy.force Fbsr_crypto.Dh.test_group in
+  let ca = Fbsr_cert.Authority.create ~rng ~bits:512 () in
+  let enroll name =
+    let priv = Fbsr_crypto.Dh.gen_private group rng in
+    let pub = Fbsr_crypto.Dh.public group priv in
+    ignore
+      (Fbsr_cert.Authority.enroll ca ~now:0.0 ~subject:name
+         ~group:group.Fbsr_crypto.Dh.name
+         ~public_value:(Fbsr_crypto.Dh.public_to_bytes group pub));
+    (Principal.of_string name, priv)
+  in
+  let s, s_priv = enroll "10.0.0.1" in
+  let d, d_priv = enroll "10.0.0.2" in
+  let cert peer = Option.get (Fbsr_cert.Authority.lookup ca (Principal.to_string peer)) in
+  let parked = Queue.create () in
+  let deferring peer k = Queue.add (fun () -> k (Ok (cert peer))) parked in
+  let inline peer k = k (Ok (cert peer)) in
+  let mk resolver p priv seed =
+    let keying =
+      Keying.create ~local:p ~group ~private_value:priv
+        ~ca_public:(Fbsr_cert.Authority.public ca)
+        ~ca_hash:(Fbsr_cert.Authority.hash ca)
+        ~resolver
+        ~clock:(fun () -> 0.0)
+        ()
+    in
+    let alloc = Sfl.allocator ~rng:(Fbsr_util.Rng.create seed) in
+    Engine.create ~keying ~fam:(Fam.create (Policy_five_tuple.policy ~alloc ())) ()
+  in
+  let attrs = Fam.attrs ~protocol:17 ~src_port:1 ~dst_port:2 ~src:s ~dst:d () in
+  let raises what f =
+    Alcotest.check_raises what
+      (Invalid_argument ("Engine." ^ what ^ ": keying resolver deferred"))
+      (fun () -> ignore (f ()))
+  in
+  let es = mk deferring s s_priv 1 in
+  raises "send_sync" (fun () ->
+      Engine.send_sync es ~now:60.0 ~attrs ~secret:true ~payload:"parked send");
+  let wire =
+    Result.get_ok
+      (Engine.send_sync (mk inline s s_priv 1) ~now:60.0 ~attrs ~secret:true
+         ~payload:"parked receive")
+  in
+  let ed = mk deferring d d_priv 2 in
+  raises "receive_sync" (fun () -> Engine.receive_sync ed ~now:60.0 ~src:s ~wire);
+  Queue.iter (fun resume -> resume ()) parked;
+  check Alcotest.int "the suspended send was sealed after all" 1
+    (Engine.counters es).Engine.datapath_allocs;
+  check Alcotest.int "the suspended receive was accepted after all" 1
+    (Engine.counters ed).Engine.accepted
 
 let test_no_pfs_by_design () =
   (* Section 6.1: "no zero-message keying protocol can provide [perfect
@@ -2112,6 +2224,8 @@ let () =
           Alcotest.test_case "suite mismatch refused" `Quick test_engine_suite_mismatch;
           Alcotest.test_case "async send" `Quick test_engine_async_send;
           Alcotest.test_case "async receive" `Quick test_engine_async_receive;
+          Alcotest.test_case "sync wrappers refuse a deferring resolver" `Quick
+            test_engine_sync_wrappers_refuse_suspension;
           Alcotest.test_case "confounder hides repetition" `Quick
             test_engine_confounder_hides_repetition;
           Alcotest.test_case "inbound flow view" `Quick test_engine_inbound_flow_view;

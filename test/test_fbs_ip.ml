@@ -347,6 +347,40 @@ let test_fast_path_end_to_end () =
       in
       check Alcotest.int "FAM untouched" 0 fam_stats.Fbsr_fbs.Fam.datagrams
 
+let test_fast_path_schedule_reuse () =
+  (* Interleaved flows each keep their own cached flow entry: the DES
+     schedule and the MAC midstate are built once per flow, not once per
+     datagram as the flows alternate. *)
+  let config = Stack.default_config ~combined_fast_path:true () in
+  let tb, a, b = make_pair ~config () in
+  let flows = 3 and rounds = 5 in
+  let got = ref 0 in
+  Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ _ -> incr got);
+  let send_round () =
+    for f = 0 to flows - 1 do
+      Udp_stack.send a.Testbed.host ~src_port:(4000 + f) ~dst:(Host.addr b.Testbed.host)
+        ~dst_port:7 (Printf.sprintf "flow %d" f)
+    done
+  in
+  for r = 0 to rounds - 1 do
+    Engine.schedule (Testbed.engine tb) ~delay:(float_of_int r) send_round
+  done;
+  Testbed.run tb;
+  check Alcotest.int "all delivered" (flows * rounds) !got;
+  (match Stack.fast_path a.Testbed.stack with
+  | None -> Alcotest.fail "fast path not installed"
+  | Some fp ->
+      check Alcotest.int "no slot collisions" 0
+        (Fast_path.counters fp).Fast_path.collisions);
+  let c = Fbsr_fbs.Engine.counters (Stack.engine a.Testbed.stack) in
+  check Alcotest.int "one key-schedule expansion per flow" flows
+    c.Fbsr_fbs.Engine.keysched_misses;
+  check Alcotest.int "one MAC midstate per flow" flows
+    c.Fbsr_fbs.Engine.mac_midstate_misses;
+  check Alcotest.int "every later datagram reuses its flow's schedule"
+    (flows * (rounds - 1))
+    c.Fbsr_fbs.Engine.keysched_hits
+
 let test_fast_path_equivalent_on_the_wire () =
   (* A combined-path sender interoperates with a generic-path receiver:
      the optimization is invisible on the wire. *)
@@ -962,6 +996,8 @@ let () =
       ( "fast-path",
         [
           Alcotest.test_case "end-to-end" `Quick test_fast_path_end_to_end;
+          Alcotest.test_case "interleaved flows reuse schedules" `Quick
+            test_fast_path_schedule_reuse;
           Alcotest.test_case "wire-equivalent" `Quick
             test_fast_path_equivalent_on_the_wire;
           Alcotest.test_case "threshold rotation" `Quick

@@ -384,7 +384,7 @@ let flow_key_of pair sfl =
   Fbsr_fbs.Engine.derive_flow_key pair.Fbsr_experiments.Fixture.sender ~sfl
     ~src:pair.Fbsr_experiments.Fixture.src ~dst:pair.Fbsr_experiments.Fixture.dst
     (function
-      | Ok k -> key := k
+      | Ok e -> key := Fbsr_fbs.Engine.flow_entry_key e
       | Error _ -> Alcotest.fail "flow key derivation failed");
   !key
 
@@ -426,7 +426,7 @@ let differential_roundtrip ~suite ~secret ~payload () =
      which is the same bytes) — including through a nonzero-offset slice. *)
   let framed = "\xaa\xbb\xcc" ^ wire ^ "\xdd" in
   let got = ref None in
-  Fbsr_fbs.Engine.receive_slice p.Fbsr_experiments.Fixture.receiver ~now:60.0
+  Fbsr_fbs.Engine.receive p.Fbsr_experiments.Fixture.receiver ~now:60.0
     ~src:p.Fbsr_experiments.Fixture.src
     ~wire:(Slice.v ~off:3 ~len:(String.length wire) framed)
     (fun r -> got := Some r);
@@ -522,7 +522,7 @@ let test_datapath_accounting_batched () =
       let c0 = cs.Fbsr_fbs.Engine.bytes_copied + cr.Fbsr_fbs.Engine.bytes_copied in
       let wires = ref [] in
       for i = 0 to flows - 1 do
-        Fbsr_fbs.Engine.send_batched batch ~now:60.0 ~attrs:attrs.(i) ~secret:true
+        Fbsr_fbs.Engine.send ~batch es ~now:60.0 ~attrs:attrs.(i) ~secret:true
           ~payload:(String.make 1000 'q') (function
           | Ok w -> wires := w :: !wires
           | Error e -> Alcotest.failf "send: %a" Fbsr_fbs.Engine.pp_error e)
@@ -567,8 +567,9 @@ let test_datapath_accounting_batched_rx () =
             ~payload:(String.make 1000 'q')
         with
         | Ok wire ->
-            Fbsr_fbs.Engine.receive_batched batch ~now:60.0
-              ~src:p.Fbsr_experiments.Fixture.src ~wire (function
+            Fbsr_fbs.Engine.receive ~batch ed ~now:60.0
+              ~src:p.Fbsr_experiments.Fixture.src ~wire:(Slice.of_string wire)
+              (function
               | Ok _ -> ()
               | Error e -> Alcotest.failf "receive: %a" Fbsr_fbs.Engine.pp_error e)
         | Error e -> Alcotest.failf "send: %a" Fbsr_fbs.Engine.pp_error e
