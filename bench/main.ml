@@ -152,6 +152,36 @@ let cache : (int64 * string * string, string) Fbsr_fbs.Cache.t =
   Fbsr_fbs.Cache.create ~sets:128 ~hash:triple_hash ~equal:triple_equal ()
 
 let () = Fbsr_fbs.Cache.insert cache (42L, "10.9.0.2", "10.9.0.1") "flowkey"
+
+(* The eviction path: a full 128-entry cache fed a rotating stream of
+   [evict_pool] distinct keys (8x its capacity), each a find that misses
+   followed by the insert that evicts.  Every key has been seen once
+   before timing starts, so each call is a steady-state capacity miss:
+   shadow-LRU relink and victim drop, set eviction, no growth of the
+   seen set. *)
+let evict_pool = 1024
+
+let evict_keys =
+  Array.init evict_pool (fun i -> (Int64.of_int (1000 + i), "10.9.0.2", "10.9.0.1"))
+
+let evict_cache : (int64 * string * string, string) Fbsr_fbs.Cache.t =
+  Fbsr_fbs.Cache.create ~sets:128 ~hash:triple_hash ~equal:triple_equal ()
+
+let evict_i = ref 0
+
+let evict_step () =
+  let i = !evict_i in
+  evict_i := if i + 1 = evict_pool then 0 else i + 1;
+  let key = Array.unsafe_get evict_keys i in
+  match Fbsr_fbs.Cache.find evict_cache key with
+  | Some _ -> ()
+  | None -> Fbsr_fbs.Cache.insert evict_cache key "flowkey"
+
+let () =
+  for _ = 1 to evict_pool do
+    evict_step ()
+  done
+
 let alloc_for_fam = Fbsr_fbs.Sfl.allocator ~rng:(Fbsr_util.Rng.create 77)
 let fam_policy = Fbsr_fbs.Policy_five_tuple.make ~alloc:alloc_for_fam ()
 
@@ -176,6 +206,10 @@ let crypto_tests =
       Test.make ~name:"des-cbc-1460B"
         (stage (fun () -> Fbsr_crypto.Des.encrypt_cbc ~iv des_key datagram));
       Test.make ~name:"md5-1460B" (stage (fun () -> Fbsr_crypto.Md5.digest datagram));
+      (* The per-flow cost of a TFKC/RFKC miss beyond the flow-key hash:
+         expanding the DES key schedule. *)
+      Test.make ~name:"des-key-schedule"
+        (stage (fun () -> Fbsr_crypto.Des.of_string "k3yk3yk3"));
       (* Bitsliced kernel (DESIGN.md §6c): a full 63-chain lockstep flush
          (divide by [lanes] for the per-datagram cost) and the
          single-ciphertext decrypt that slices one chain across lanes. *)
@@ -310,6 +344,7 @@ let fbs_tests =
         (stage (fun () -> Fbsr_fbs.Cache.find cache (42L, "10.9.0.2", "10.9.0.1")));
       Test.make ~name:"cache-miss"
         (stage (fun () -> Fbsr_fbs.Cache.find cache (43L, "10.9.0.2", "10.9.0.1")));
+      Test.make ~name:"cache-miss-evict" (stage evict_step);
       (* Section 7.1 policy: one FAM classification. *)
       Test.make ~name:"fam-five-tuple-map"
         (stage (fun () -> Fbsr_fbs.Policy_five_tuple.map fam_policy ~now:1.0 fam_attrs));

@@ -15,7 +15,10 @@
      byte position, byte value), ORed over the eight input bytes — 16
      lookups per permutation instead of 64 single-bit gathers.
    - Everything runs on untagged native [int]s holding 32-bit halves; the
-     only [Int64]s left are in the one-time key-schedule derivation.
+     only [Int64]s left are in building the SP tables at module init.
+   - The key schedule is table-driven too: byte-indexed PC-1 rows build
+     the 56-bit C||D register, and byte-indexed PC-2 rows write the packed
+     round words directly (see [schedule]).
 
    A block lives in a caller-provided 2-element scratch array [io]
    (io.(0) = high/left word, io.(1) = low/right word), so the mode loops
@@ -103,8 +106,8 @@ let sboxes =
          7; 11;  4;  1;  9; 12; 14;  2;  0;  6; 10; 13; 15;  3;  5;  8;
          2;  1; 14;  7;  4; 10;  8; 13; 15; 12;  9;  0;  3;  5;  6; 11 |] |]
 
-(* Generic bit gather over int64, used only at table-construction and
-   key-schedule time (never per block). *)
+(* Generic bit gather over int64, used only to build the SP tables at
+   module init (never per key or per block). *)
 let permute (v : int64) ~width table =
   let out = ref 0L in
   let n = Array.length table in
@@ -135,25 +138,28 @@ let sp6 = sp_table 5
 let sp7 = sp_table 6
 let sp8 = sp_table 7
 
-(* Byte-indexed tables for a 64->64 permutation: row [p*256 + v] is the
-   contribution of input byte [p] holding value [v] to the high (resp.
-   low) 32-bit output word; a permutation is then the OR of eight rows
-   per word.  Built once from the FIPS table by scattering each input
-   bit to its output position. *)
+(* Byte-indexed rows for a FIPS bit-selection table: output bit [i] takes
+   source bit [table.(i)] (1-based, MSB first), which lies in input byte
+   [p]; for every byte value [v] with that bit set, row [p*256 + v] of
+   [out i] gets [mask i] ORed in.  A permutation is then the OR of one row
+   per input byte.  Runs once per table at module init. *)
+let scatter table ~out ~mask =
+  Array.iteri
+    (fun i src ->
+      let p = (src - 1) / 8 and bit = 7 - ((src - 1) mod 8) in
+      let t = out i and m = mask i in
+      for v = 0 to 255 do
+        if (v lsr bit) land 1 = 1 then t.((p * 256) + v) <- t.((p * 256) + v) lor m
+      done)
+    table
+
+(* A 64->64 permutation as two row tables, for the high and low 32-bit
+   output words. *)
 let byte_tables table =
   let hi = Array.make (8 * 256) 0 and lo = Array.make (8 * 256) 0 in
-  for i = 0 to 63 do
-    let s = table.(i) - 1 in
-    let p = s / 8 and bit = 7 - (s mod 8) in
-    let out = if i < 32 then hi else lo in
-    let mask = 1 lsl (if i < 32 then 31 - i else 63 - i) in
-    for v = 0 to 255 do
-      if (v lsr bit) land 1 = 1 then begin
-        let idx = (p * 256) + v in
-        out.(idx) <- out.(idx) lor mask
-      end
-    done
-  done;
+  scatter table
+    ~out:(fun i -> if i < 32 then hi else lo)
+    ~mask:(fun i -> 1 lsl (if i < 32 then 31 - i else 63 - i));
   (hi, lo)
 
 let ip_hi, ip_lo = byte_tables ip_table
@@ -201,59 +207,88 @@ let[@inline] feistel r ka kb =
    the post-IP halves (L0, R0); output: io holds the FIPS preoutput
    (R16, L16).  Because FP and IP are inverses, feeding the output of one
    [rounds] call directly into another composes complete DES passes with
-   the interior FP/IP pairs cancelled — the EDE3 fast path. *)
+   the interior FP/IP pairs cancelled — the EDE3 fast path.  The subkey
+   loads are written out rather than going through a local accessor: a
+   helper closing over [ks] is a heap closure per call without flambda,
+   i.e. garbage on every block. *)
 let rounds (ks : int array) (io : int array) =
-  let k i = Array.unsafe_get ks i in
   let l = Array.unsafe_get io 0 and r = Array.unsafe_get io 1 in
-  let l = l lxor feistel r (k 0) (k 1) in
-  let r = r lxor feistel l (k 2) (k 3) in
-  let l = l lxor feistel r (k 4) (k 5) in
-  let r = r lxor feistel l (k 6) (k 7) in
-  let l = l lxor feistel r (k 8) (k 9) in
-  let r = r lxor feistel l (k 10) (k 11) in
-  let l = l lxor feistel r (k 12) (k 13) in
-  let r = r lxor feistel l (k 14) (k 15) in
-  let l = l lxor feistel r (k 16) (k 17) in
-  let r = r lxor feistel l (k 18) (k 19) in
-  let l = l lxor feistel r (k 20) (k 21) in
-  let r = r lxor feistel l (k 22) (k 23) in
-  let l = l lxor feistel r (k 24) (k 25) in
-  let r = r lxor feistel l (k 26) (k 27) in
-  let l = l lxor feistel r (k 28) (k 29) in
-  let r = r lxor feistel l (k 30) (k 31) in
+  let l = l lxor feistel r (Array.unsafe_get ks 0) (Array.unsafe_get ks 1) in
+  let r = r lxor feistel l (Array.unsafe_get ks 2) (Array.unsafe_get ks 3) in
+  let l = l lxor feistel r (Array.unsafe_get ks 4) (Array.unsafe_get ks 5) in
+  let r = r lxor feistel l (Array.unsafe_get ks 6) (Array.unsafe_get ks 7) in
+  let l = l lxor feistel r (Array.unsafe_get ks 8) (Array.unsafe_get ks 9) in
+  let r = r lxor feistel l (Array.unsafe_get ks 10) (Array.unsafe_get ks 11) in
+  let l = l lxor feistel r (Array.unsafe_get ks 12) (Array.unsafe_get ks 13) in
+  let r = r lxor feistel l (Array.unsafe_get ks 14) (Array.unsafe_get ks 15) in
+  let l = l lxor feistel r (Array.unsafe_get ks 16) (Array.unsafe_get ks 17) in
+  let r = r lxor feistel l (Array.unsafe_get ks 18) (Array.unsafe_get ks 19) in
+  let l = l lxor feistel r (Array.unsafe_get ks 20) (Array.unsafe_get ks 21) in
+  let r = r lxor feistel l (Array.unsafe_get ks 22) (Array.unsafe_get ks 23) in
+  let l = l lxor feistel r (Array.unsafe_get ks 24) (Array.unsafe_get ks 25) in
+  let r = r lxor feistel l (Array.unsafe_get ks 26) (Array.unsafe_get ks 27) in
+  let l = l lxor feistel r (Array.unsafe_get ks 28) (Array.unsafe_get ks 29) in
+  let r = r lxor feistel l (Array.unsafe_get ks 30) (Array.unsafe_get ks 31) in
   Array.unsafe_set io 0 r;
   Array.unsafe_set io 1 l
 
-(* Key schedule: PC-1/PC-2 via the generic gather (once per key — the
-   engine caches the result per flow), then each 48-bit subkey packed
-   into the two round words at the feistel shifts. *)
+(* Key schedule tables, [scatter]ed from the FIPS tables.
+
+   [pc1]: row [p*256 + v] is the contribution of key byte [p] holding [v]
+   to the 56-bit C||D register (C in bits 55..28, D in 27..0).  The
+   low bit of every key byte is a parity bit that PC-1 never reads, so
+   keys differing only in parity expand identically.
+
+   [pc2_a]/[pc2_b]: row [p*256 + v] is the contribution of C||D byte [p]
+   (0..6, most significant first) holding [v] to the round word for the
+   odd (S1/S3/S5/S7) resp. even (S2/S4/S6/S8) S-boxes: subkey bit [i]
+   sits in 6-bit chunk [i/6], and the chunks sit at the feistel shifts
+   26/18/10/2 — PC-2 and the packing in one OR of seven rows per word. *)
+let pc1 =
+  let t = Array.make (8 * 256) 0 in
+  scatter pc1_table ~out:(fun _ -> t) ~mask:(fun i -> 1 lsl (55 - i));
+  t
+
+let pc2_a, pc2_b =
+  let a = Array.make (7 * 256) 0 and b = Array.make (7 * 256) 0 in
+  scatter pc2_table
+    ~out:(fun i -> if (i / 6) land 1 = 0 then a else b)
+    ~mask:(fun i -> 1 lsl (26 - (8 * (i / 12)) + (5 - (i mod 6))));
+  (a, b)
+
+let[@inline] rot28 v n = ((v lsl n) lor (v lsr (28 - n))) land 0xfffffff
+
+(* OR of the seven byte rows of [tab] selected by the bytes of C||D. *)
+let[@inline] gather7 (tab : int array) cd =
+  Array.unsafe_get tab ((cd lsr 48) land 0xff)
+  lor Array.unsafe_get tab (256 + ((cd lsr 40) land 0xff))
+  lor Array.unsafe_get tab (512 + ((cd lsr 32) land 0xff))
+  lor Array.unsafe_get tab (768 + ((cd lsr 24) land 0xff))
+  lor Array.unsafe_get tab (1024 + ((cd lsr 16) land 0xff))
+  lor Array.unsafe_get tab (1280 + ((cd lsr 8) land 0xff))
+  lor Array.unsafe_get tab (1536 + (cd land 0xff))
+
+(* Key schedule: PC-1 as eight table rows, then per round two 28-bit
+   rotates and fourteen PC-2 rows writing both packed round words.  The
+   only allocation is the two result arrays and their pair. *)
 let schedule (key : string) : int array * int array =
   if String.length key <> 8 then invalid_arg "Des: key must be 8 bytes";
-  let k64 = ref 0L in
-  String.iter
-    (fun c -> k64 := Int64.logor (Int64.shift_left !k64 8) (Int64.of_int (Char.code c)))
-    key;
-  let k56 = permute !k64 ~width:64 pc1_table in
-  let c = ref (Int64.to_int (Int64.shift_right_logical k56 28)) in
-  let d = ref (Int64.to_int (Int64.logand k56 0xfffffffL)) in
-  let rot28 v n = ((v lsl n) lor (v lsr (28 - n))) land 0xfffffff in
-  let ke = Array.make 32 0 in
+  let cd = ref 0 in
+  for p = 0 to 7 do
+    cd := !cd lor Array.unsafe_get pc1 ((p * 256) + Char.code (String.unsafe_get key p))
+  done;
+  let c = ref (!cd lsr 28) and d = ref (!cd land 0xfffffff) in
+  let ke = Array.make 32 0 and kd = Array.make 32 0 in
   for round = 0 to 15 do
-    let n = key_shifts.(round) in
+    let n = Array.unsafe_get key_shifts round in
     c := rot28 !c n;
     d := rot28 !d n;
-    let cd = Int64.logor (Int64.shift_left (Int64.of_int !c) 28) (Int64.of_int !d) in
-    let sk = permute cd ~width:56 pc2_table in
-    let chunk j = Int64.to_int (Int64.shift_right_logical sk (42 - (6 * j))) land 0x3f in
-    ke.(2 * round) <-
-      (chunk 0 lsl 26) lor (chunk 2 lsl 18) lor (chunk 4 lsl 10) lor (chunk 6 lsl 2);
-    ke.((2 * round) + 1) <-
-      (chunk 1 lsl 26) lor (chunk 3 lsl 18) lor (chunk 5 lsl 10) lor (chunk 7 lsl 2)
-  done;
-  let kd = Array.make 32 0 in
-  for round = 0 to 15 do
-    kd.(2 * round) <- ke.(2 * (15 - round));
-    kd.((2 * round) + 1) <- ke.((2 * (15 - round)) + 1)
+    let cd = (!c lsl 28) lor !d in
+    let ka = gather7 pc2_a cd and kb = gather7 pc2_b cd in
+    ke.(2 * round) <- ka;
+    ke.((2 * round) + 1) <- kb;
+    kd.(2 * (15 - round)) <- ka;
+    kd.((2 * (15 - round)) + 1) <- kb
   done;
   (ke, kd)
 

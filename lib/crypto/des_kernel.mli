@@ -1,6 +1,7 @@
 (** The fast table-driven DES kernel shared by {!Des}, {!Des3}, {!Mac} and
     {!Fused}.  E-expansion fused into 8×64 SP tables, byte-indexed IP/FP,
-    sixteen unrolled rounds on untagged native [int] halves.  See
+    sixteen unrolled rounds on untagged native [int] halves, byte-indexed
+    PC-1/PC-2 key schedule.  See
     DESIGN.md §6c "Cipher kernels" for the layout derivation; {!Des_ref}
     is the slow oracle this kernel is differentially tested against.
 
@@ -13,8 +14,13 @@ val schedule : string -> int array * int array
 (** [schedule key] expands an 8-byte key into [(encrypt, decrypt)]
     round-word arrays (32 ints each: two packed subkey words per round,
     decrypt order reversed).  Raises [Invalid_argument] unless the key is
-    exactly 8 bytes.  Expansion costs ~16 bit-gather permutes — do it
-    once per key and cache (the engine caches per flow). *)
+    exactly 8 bytes.  Table-driven: eight byte-indexed PC-1 rows, then per
+    round two 28-bit rotates and fourteen byte-indexed PC-2 rows that
+    write the packed words directly — a few hundred lookups and no
+    allocation beyond the two result arrays.  The parity bit (low bit) of
+    each key byte is ignored, as PC-1 discards it: [schedule k] equals
+    [schedule (Des.adjust_parity k)].  Still per key, not per block — the
+    engine caches the result per flow. *)
 
 val ip : int array -> unit
 (** Initial permutation, in place: [io.(0)] (high word) and [io.(1)] (low

@@ -11,6 +11,11 @@ type key
 val of_string : string -> key
 (** 8 bytes; no weak-key check (the oracle accepts any key). *)
 
+val key_schedule : string -> int64 array
+(** The sixteen 48-bit round subkeys of an 8-byte key (PC-1, rotations,
+    PC-2 by bit gather), round 1 first, subkey bit 1 as bit 47.  The
+    oracle for {!Des_kernel.schedule}. *)
+
 val encrypt_block : key -> int64 -> int64
 val decrypt_block : key -> int64 -> int64
 

@@ -59,9 +59,11 @@ let make_ctx counters =
 
 let des_key_of_flow_key flow_key =
   (* DES wants 8 key bytes; the flow key is a 16-byte (MD5) or 20-byte
-     (SHA-1) digest.  Take the first 8 bytes with adjusted parity, as the
-     paper's CryptoLib-based implementation does. *)
-  Fbsr_crypto.Des.adjust_parity (String.sub flow_key 0 8)
+     (SHA-1) digest.  Take the first 8 bytes, as the paper's
+     CryptoLib-based implementation does.  No parity pass: the parity bit
+     of each byte is the one PC-1 discards, so the schedule is the same
+     with or without it ([Reference] keeps the adjustment as the oracle). *)
+  String.sub flow_key 0 8
 
 let des3_key_of_flow_key flow_key =
   (* 3DES wants 24 key bytes; expand the flow key by hashing (standard

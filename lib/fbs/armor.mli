@@ -84,8 +84,9 @@ val make_ctx : counters -> ctx
     uniform across suites. *)
 
 val des_key_of_flow_key : string -> string
-(** First 8 flow-key bytes, parity-adjusted (the paper's CryptoLib
-    convention). *)
+(** First 8 flow-key bytes (the paper's CryptoLib convention), parity
+    left as is: DES ignores the parity bits, so the expanded schedule
+    equals that of the parity-adjusted key. *)
 
 val des3_key_of_flow_key : string -> Fbsr_crypto.Des3.key
 (** 24 key bytes by KDF-rehash of the flow key, parity-adjusted. *)

@@ -11,15 +11,33 @@
    Classification follows the standard methodology: a miss on a never-seen
    key is *cold*; a miss on a key that a fully-associative LRU cache of the
    same total capacity would still hold is *conflict*; otherwise it is
-   *capacity*.  The shadow fully-associative cache is maintained alongside.
+   *capacity*.  The shadow fully-associative cache is maintained alongside,
+   at O(1) per access: one table maps each key ever touched to its
+   [shadow] node, which records whether the key has missed ("seen") and
+   threads it through an intrusive doubly-linked recency list (most
+   recent at the head).  Every access touches exactly one key at a fresh
+   tick, so recency order is tick order and the shadow's LRU victim is
+   simply the list tail.  A hit relinks the node its slot points to —
+   no table lookup — and allocates nothing (the slot also carries its
+   [Some value] preallocated); a miss costs one table lookup.
 
    The cache is soft state by construction: any entry may be dropped at any
    time and the protocol merely recomputes — correctness never depends on
    cache contents. *)
 
+(* A key's node in the shadow: [linked] while the key is among the
+   [capacity] most recently touched, [seen] once it has missed. *)
+type shadow = {
+  mutable prev : shadow;
+  mutable next : shadow;
+  mutable linked : bool;
+  mutable seen : bool;
+}
+
 type ('k, 'v) slot = {
   key : 'k;
-  mutable value : 'v;
+  found : 'v option; (* always [Some value]: built once so a hit allocates nothing *)
+  node : shadow; (* the key's shadow node (the sentinel when not classifying) *)
   mutable last_used : int;
   inserted : int; (* tick at insertion, for FIFO replacement *)
 }
@@ -47,9 +65,10 @@ type ('k, 'v) t = {
   mutable tick : int;
   stats : stats;
   (* Shadow state for miss classification. *)
-  seen : ('k, unit) Hashtbl.t;
-  shadow : ('k, int) Hashtbl.t; (* key -> last use tick in the shadow LRU *)
-  mutable classify : bool;
+  nodes : ('k, shadow) Hashtbl.t; (* never shrinks: the [seen] memory *)
+  lru : shadow; (* sentinel: [lru.next] is the head, [lru.prev] the tail *)
+  mutable shadow_size : int; (* nodes currently linked *)
+  classify : bool;
   name : string; (* observability label, e.g. "tfkc" *)
   trace : Fbsr_util.Trace.t;
 }
@@ -64,6 +83,10 @@ let new_stats () =
     invalidations = 0;
   }
 
+let sentinel () =
+  let rec s = { prev = s; next = s; linked = false; seen = false } in
+  s
+
 let create ?(assoc = 1) ?(classify = true) ?(replacement = Lru) ?(name = "cache")
     ?(trace = Fbsr_util.Trace.none) ~sets ~hash ~equal () =
   if sets <= 0 || assoc <= 0 then invalid_arg "Cache.create: bad geometry";
@@ -76,8 +99,9 @@ let create ?(assoc = 1) ?(classify = true) ?(replacement = Lru) ?(name = "cache"
     slots = Array.make (sets * assoc) None;
     tick = 0;
     stats = new_stats ();
-    seen = Hashtbl.create 64;
-    shadow = Hashtbl.create 64;
+    nodes = Hashtbl.create 64;
+    lru = sentinel ();
+    shadow_size = 0;
     classify;
     name;
     trace;
@@ -113,32 +137,45 @@ let miss_rate t =
 
 let set_base t key = t.hash key mod t.sets * t.assoc
 
-(* Shadow fully-associative LRU of the same capacity. *)
-let shadow_touch t key =
-  if t.classify then begin
-    Hashtbl.replace t.shadow key t.tick;
-    if Hashtbl.length t.shadow > capacity t then begin
-      (* Evict the least recently used shadow entry. *)
-      let victim =
-        Hashtbl.fold
-          (fun k tick acc ->
-            match acc with
-            | Some (_, best) when best <= tick -> acc
-            | _ -> Some (k, tick))
-          t.shadow None
-      in
-      match victim with Some (k, _) -> Hashtbl.remove t.shadow k | None -> ()
-    end
+let unlink n =
+  n.prev.next <- n.next;
+  n.next.prev <- n.prev
+
+(* Move [n] to the head of the shadow LRU; when that grows the shadow past
+   [capacity], drop the tail (the least recently touched key). *)
+let shadow_touch t n =
+  if n.linked then unlink n
+  else begin
+    n.linked <- true;
+    t.shadow_size <- t.shadow_size + 1
+  end;
+  let head = t.lru.next in
+  n.next <- head;
+  n.prev <- t.lru;
+  head.prev <- n;
+  t.lru.next <- n;
+  if t.shadow_size > capacity t then begin
+    let victim = t.lru.prev in
+    unlink victim;
+    victim.linked <- false;
+    t.shadow_size <- t.shadow_size - 1
   end
 
-let classify_miss t key =
-  if not t.classify then t.stats.misses_capacity <- t.stats.misses_capacity + 1
-  else if not (Hashtbl.mem t.seen key) then begin
-    Hashtbl.replace t.seen key ();
+(* The key's shadow node, created (unseen, unlinked) on first touch. *)
+let shadow_node t key =
+  match Hashtbl.find t.nodes key with
+  | n -> n
+  | exception Not_found ->
+      let n = { prev = t.lru; next = t.lru; linked = false; seen = false } in
+      Hashtbl.add t.nodes key n;
+      n
+
+let classify_miss t n =
+  if not n.seen then begin
+    n.seen <- true;
     t.stats.misses_cold <- t.stats.misses_cold + 1
   end
-  else if Hashtbl.mem t.shadow key then
-    t.stats.misses_conflict <- t.stats.misses_conflict + 1
+  else if n.linked then t.stats.misses_conflict <- t.stats.misses_conflict + 1
   else t.stats.misses_capacity <- t.stats.misses_capacity + 1
 
 (* Has this key ever missed in this cache?  (Population happens on first
@@ -146,23 +183,32 @@ let classify_miss t key =
    accessed".)  Survives {!clear}: it is the memory that lets a caller
    distinguish a compulsory first computation from a *recomputation* after
    soft-state loss.  Always false when classification is disabled. *)
-let was_seen t key = Hashtbl.mem t.seen key
+let was_seen t key =
+  match Hashtbl.find t.nodes key with n -> n.seen | exception Not_found -> false
 
 let find t key =
   t.tick <- t.tick + 1;
   let base = set_base t key in
-  let result = ref None in
+  let result = ref None and hit_node = ref t.lru in
   for way = 0 to t.assoc - 1 do
     match t.slots.(base + way) with
     | Some slot when t.equal slot.key key ->
         slot.last_used <- t.tick;
-        result := Some slot.value
+        result := slot.found;
+        hit_node := slot.node
     | Some _ | None -> ()
   done;
   (match !result with
-  | Some _ -> t.stats.hits <- t.stats.hits + 1
-  | None -> classify_miss t key);
-  shadow_touch t key;
+  | Some _ ->
+      t.stats.hits <- t.stats.hits + 1;
+      if t.classify then shadow_touch t !hit_node
+  | None ->
+      if t.classify then begin
+        let n = shadow_node t key in
+        classify_miss t n;
+        shadow_touch t n
+      end
+      else t.stats.misses_capacity <- t.stats.misses_capacity + 1);
   !result
 
 (* Probe without affecting statistics or LRU state. *)
@@ -171,7 +217,7 @@ let peek t key =
   let result = ref None in
   for way = 0 to t.assoc - 1 do
     match t.slots.(base + way) with
-    | Some slot when t.equal slot.key key -> result := Some slot.value
+    | Some slot when t.equal slot.key key -> result := slot.found
     | Some _ | None -> ()
   done;
   !result
@@ -217,8 +263,10 @@ let insert t key value =
             ];
         victim_index t base
   in
-  t.slots.(idx) <- Some { key; value; last_used = t.tick; inserted = t.tick };
-  shadow_touch t key
+  let n = if t.classify then shadow_node t key else t.lru in
+  t.slots.(idx) <-
+    Some { key; found = Some value; node = n; last_used = t.tick; inserted = t.tick };
+  if t.classify then shadow_touch t n
 
 let invalidate t key =
   let base = set_base t key in
@@ -232,14 +280,26 @@ let invalidate t key =
 
 let clear t =
   Array.fill t.slots 0 (Array.length t.slots) None;
-  Hashtbl.reset t.shadow
+  (* Empty the shadow; the nodes (and their [seen] bits) stay.  An
+     unlinked node's [prev]/[next] are dead until [shadow_touch] relinks
+     it, so only the flags need resetting. *)
+  let rec drop n =
+    if n != t.lru then begin
+      n.linked <- false;
+      drop n.next
+    end
+  in
+  drop t.lru.next;
+  t.lru.next <- t.lru;
+  t.lru.prev <- t.lru;
+  t.shadow_size <- 0
 
 let iter t f =
-  Array.iter (function Some slot -> f slot.key slot.value | None -> ()) t.slots
+  Array.iter (function Some { key; found = Some v; _ } -> f key v | _ -> ()) t.slots
 
 let fold t f acc =
   Array.fold_left
-    (fun acc -> function Some slot -> f slot.key slot.value acc | None -> acc)
+    (fun acc -> function Some { key; found = Some v; _ } -> f key v acc | _ -> acc)
     acc t.slots
 
 let occupancy t =

@@ -27,8 +27,13 @@ val create :
   equal:('k -> 'k -> bool) ->
   unit ->
   ('k, 'v) t
-(** [classify:false] disables the shadow-LRU bookkeeping (faster; all
-    non-cold misses count as capacity).  Default replacement is [Lru].
+(** [classify] (default [true]) keeps the 3-C miss classification: a
+    shadow fully-associative LRU of the same capacity plus the set of keys
+    that ever missed, both in one key-indexed table with an intrusive
+    recency list — O(1) per access, no allocation on a hit, one node per
+    distinct key ever touched (kept for the cache's lifetime, {!clear}
+    included).  [classify:false] skips it (no per-key memory; every miss
+    counts as capacity).  Default replacement is [Lru].
     [name] labels the cache in metrics/trace output; [trace] (default
     disabled) receives an ["fbs.cache.evict"] event per eviction. *)
 
@@ -43,6 +48,9 @@ val register_metrics : ('k, 'v) t -> Fbsr_util.Metrics.t -> unit
 
 val capacity : ('k, 'v) t -> int
 val find : ('k, 'v) t -> 'k -> 'v option
+(** Look up and count one access.  A hit allocates nothing: the returned
+    option is the one built when the entry was inserted. *)
+
 val peek : ('k, 'v) t -> 'k -> 'v option
 (** Like {!find} but does not touch statistics or LRU state. *)
 
@@ -53,6 +61,8 @@ val was_seen : ('k, 'v) t -> 'k -> bool
 val insert : ('k, 'v) t -> 'k -> 'v -> unit
 val invalidate : ('k, 'v) t -> 'k -> unit
 val clear : ('k, 'v) t -> unit
+(** Drop every entry and empty the shadow LRU; {!was_seen} memory stays. *)
+
 val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
 val fold : ('k, 'v) t -> ('k -> 'v -> 'a -> 'a) -> 'a -> 'a
 val occupancy : ('k, 'v) t -> int

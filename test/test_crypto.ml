@@ -315,6 +315,72 @@ let prop_differential_into_sub =
            ~src:(Bytes.to_string dst) ~pos:dst_pad ~len:wrote
          = msg)
 
+(* --- Key schedule: table-driven kernel vs the oracle's bit gather ---
+
+   [Des_kernel.schedule] packs each round's 48-bit subkey into two words
+   (6-bit chunks for S1/S3/S5/S7 at shifts 26/18/10/2 of the first, for
+   S2/S4/S6/S8 of the second).  Unpacking them must give back exactly
+   [Des_ref.key_schedule]'s subkeys, and the decrypt words must be the
+   encrypt words in reverse round order. *)
+
+let unpack_subkey ka kb =
+  let chunk j =
+    let w = if j land 1 = 0 then ka else kb in
+    (w lsr (26 - (8 * (j / 2)))) land 0x3f
+  in
+  let sk = ref 0L in
+  for j = 0 to 7 do
+    sk := Int64.logor (Int64.shift_left !sk 6) (Int64.of_int (chunk j))
+  done;
+  !sk
+
+let schedule_matches_ref key =
+  let ke, kd = Des_kernel.schedule key in
+  let expected = Des_ref.key_schedule key in
+  Array.length ke = 32
+  && Array.length kd = 32
+  && List.for_all
+       (fun round ->
+         unpack_subkey ke.(2 * round) ke.((2 * round) + 1) = expected.(round)
+         && kd.(2 * round) = ke.(2 * (15 - round))
+         && kd.((2 * round) + 1) = ke.((2 * (15 - round)) + 1))
+       (List.init 16 Fun.id)
+
+let prop_schedule_matches_ref =
+  QCheck.Test.make ~name:"schedule = reference key schedule (random keys)" ~count:1000
+    key8 schedule_matches_ref
+
+let test_schedule_single_bits () =
+  (* Every key bit on its own (parity bits included: they must expand to
+     the all-zero key's schedule), and every key bit cleared from all-ones. *)
+  for bit = 0 to 63 do
+    let with_bit base =
+      String.init 8 (fun i ->
+          let b = Char.code base.[i] in
+          Char.chr (if i = bit / 8 then b lxor (0x80 lsr (bit mod 8)) else b))
+    in
+    let one = with_bit (String.make 8 '\000') in
+    let zero = with_bit (String.make 8 '\255') in
+    check Alcotest.bool (Printf.sprintf "bit %d set" bit) true (schedule_matches_ref one);
+    check Alcotest.bool (Printf.sprintf "bit %d cleared" bit) true
+      (schedule_matches_ref zero)
+  done
+
+let test_schedule_weak_keys () =
+  List.iter
+    (fun h ->
+      check Alcotest.bool (h ^ " = reference") true (schedule_matches_ref (unhex h)))
+    [
+      "0101010101010101"; "fefefefefefefefe"; "1f1f1f1f0e0e0e0e"; "e0e0e0e0f1f1f1f1";
+      "01fe01fe01fe01fe"; "fe01fe01fe01fe01"; "1fe01fe00ef10ef1"; "e01fe01ff10ef10e";
+      "01e001e001f101f1"; "e001e001f101f101"; "1ffe1ffe0efe0efe"; "fe1ffe1ffe0efe0e";
+      "011f011f010e010e"; "1f011f010e010e01"; "e0fee0fef1fef1fe"; "fee0fee0fef1fef1";
+    ]
+
+let prop_schedule_ignores_parity =
+  QCheck.Test.make ~name:"schedule (adjust_parity k) = schedule k" ~count:500 key8
+    (fun key -> Des_kernel.schedule (Des.adjust_parity key) = Des_kernel.schedule key)
+
 (* --- Bitsliced kernel differential battery ---
 
    [Des_bitslice] re-derives the entire cipher (generated s-box circuits,
@@ -1148,6 +1214,12 @@ let () =
           qtest prop_differential_block;
           qtest prop_differential_modes;
           qtest prop_differential_into_sub;
+          qtest prop_schedule_matches_ref;
+          Alcotest.test_case "schedule = reference (single-bit keys)" `Quick
+            test_schedule_single_bits;
+          Alcotest.test_case "schedule = reference (weak, semi-weak keys)" `Quick
+            test_schedule_weak_keys;
+          qtest prop_schedule_ignores_parity;
         ] );
       ( "des-bitslice",
         [

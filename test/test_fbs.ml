@@ -466,14 +466,16 @@ let prop_cache_find_after_insert =
 (* The 3-C classification against a from-scratch reference model: a
    byte-for-byte reimplementation of the documented semantics (tick on
    every find and insert, shadow fully-associative LRU touched by both,
-   seen-set grown on first miss, per-set LRU replacement).  Random
-   find/insert/invalidate workloads must produce identical statistics,
-   and the counters must add up: every find is exactly one of
+   seen-set grown on first miss, per-set LRU replacement, O(capacity)
+   fold for the shadow's victim).  Random find/insert/invalidate/clear
+   workloads must produce identical statistics and identical [was_seen]
+   answers ([clear] empties the slots and the shadow, never the seen
+   set), and the counters must add up: every find is exactly one of
    hit/cold/capacity/conflict. *)
 let prop_cache_classification_matches_reference =
   QCheck.Test.make ~name:"3-C classification = brute-force reference" ~count:200
     QCheck.(
-      list_of_size (Gen.int_range 1 300) (pair (int_bound 5) (int_bound 40)))
+      list_of_size (Gen.int_range 1 300) (pair (int_bound 15) (int_bound 40)))
     (fun ops ->
       let sets = 4 and assoc = 2 in
       let cache = Cache.create ~assoc ~sets ~hash:(fun k -> k) ~equal:Int.equal () in
@@ -560,21 +562,39 @@ let prop_cache_classification_matches_reference =
           | _ -> ()
         done
       in
+      let ref_clear () =
+        Array.fill slots 0 capacity None;
+        Hashtbl.reset shadow
+      in
+      (* [was_seen] must agree with the reference at every probe, not
+         just the final counters. *)
+      let seen_agrees = ref true in
       List.iter
         (fun (op, key) ->
-          match op with
-          | 0 | 1 | 2 ->
-              ref_find key;
-              ignore (Cache.find cache key)
-          | 3 | 4 ->
-              ref_insert key;
-              Cache.insert cache key (string_of_int key)
-          | _ ->
-              ref_invalidate key;
-              Cache.invalidate cache key)
+          if op <= 5 then begin
+            ref_find key;
+            ignore (Cache.find cache key)
+          end
+          else if op <= 9 then begin
+            ref_insert key;
+            Cache.insert cache key (string_of_int key)
+          end
+          else if op <= 11 then begin
+            ref_invalidate key;
+            Cache.invalidate cache key
+          end
+          else if op <= 14 then begin
+            if Cache.was_seen cache key <> Hashtbl.mem seen key then
+              seen_agrees := false
+          end
+          else begin
+            ref_clear ();
+            Cache.clear cache
+          end)
         ops;
       let s = Cache.stats cache in
-      s.Cache.hits = !hits
+      !seen_agrees
+      && s.Cache.hits = !hits
       && s.Cache.misses_cold = !cold
       && s.Cache.misses_capacity = !cap
       && s.Cache.misses_conflict = !conf
