@@ -619,6 +619,64 @@ let telemetry_bench () =
   (row, tjson)
 
 (* ------------------------------------------------------------------ *)
+(* End-to-end rows: whole bursts through Stack on a Testbed host pair   *)
+(* ------------------------------------------------------------------ *)
+
+(* Wall ns per datagram for one warm burst app -> app: 64 secret 1460 B
+   UDP datagrams, one per flow, sent at one simulated instant from one
+   Testbed FBS host to another and run to quiescence — FAM (or the
+   Section 7.2 combined table), TFKC, MAC, the send batch's bitsliced
+   seal, IP fragmentation, the simulated segment, reassembly, RFKC,
+   open and delivery.  Timed directly like the sharded rows: the median
+   of [e2e_passes] passes of [e2e_bursts] bursts each, after one warm-up
+   burst that fetched every master key and derived every flow key.  A
+   burst that does not deliver every payload fails the bench run. *)
+let e2e_flows = 64
+let e2e_bursts = 4
+let e2e_passes = 6
+
+let e2e_burst_ns ~combined_fast_path =
+  let module Tb = Fbsr_fbs_ip.Testbed in
+  let config = Fbsr_fbs_ip.Stack.default_config ~combined_fast_path () in
+  let tb = Tb.create ~seed:5 ~config () in
+  let a = Tb.add_host tb ~name:"a" ~addr:"10.0.0.1" in
+  let b = Tb.add_host tb ~name:"b" ~addr:"10.0.0.2" in
+  let b_addr = Fbsr_netsim.Host.addr b.Tb.host in
+  let delivered = ref 0 in
+  Fbsr_netsim.Udp_stack.listen b.Tb.host ~port:7000 (fun ~src:_ ~src_port:_ _ ->
+      incr delivered);
+  let burst () =
+    delivered := 0;
+    for i = 0 to e2e_flows - 1 do
+      Fbsr_netsim.Udp_stack.send a.Tb.host ~src_port:(5000 + i) ~dst:b_addr
+        ~dst_port:7000 datagram
+    done;
+    Tb.run tb;
+    if !delivered <> e2e_flows then
+      failwith
+        (Printf.sprintf "bench e2e burst: %d of %d datagrams delivered" !delivered
+           e2e_flows)
+  in
+  burst ();
+  let pass () =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to e2e_bursts do
+      burst ()
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (e2e_bursts * e2e_flows)
+  in
+  let passes = Array.init e2e_passes (fun _ -> pass ()) in
+  Array.sort compare passes;
+  let mid = e2e_passes / 2 in
+  (passes.(mid - 1) +. passes.(mid)) /. 2.0
+
+let e2e_rows () =
+  [
+    ("e2e/stack-burst-64x1460B", e2e_burst_ns ~combined_fast_path:false);
+    ("e2e/stack-burst-fastpath-64x1460B", e2e_burst_ns ~combined_fast_path:true);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Runner                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -962,7 +1020,7 @@ let () =
   let rows = result_rows (benchmark ~quick:!quick ()) in
   let sharded = sharded_bench () in
   let tel_row, tel_json = telemetry_bench () in
-  let rows = rows @ sharded.srows @ [ tel_row ] in
+  let rows = rows @ sharded.srows @ [ tel_row ] @ e2e_rows () in
   print_results rows;
   match !json with
   | Some path ->

@@ -171,7 +171,7 @@ let output_hook t (h : Ipv4.header) payload : Host.hook_result =
     | Some (Error _) ->
         t.counters.dropped <- t.counters.dropped + 1;
         Host.Drop "host-pair keying failure"
-    | None -> Host.Drop "host-pair awaiting master key"
+    | None -> Host.Held "host-pair awaiting master key"
   end
 
 let input_hook t (h : Ipv4.header) payload : Host.hook_result =
@@ -208,7 +208,7 @@ let input_hook t (h : Ipv4.header) payload : Host.hook_result =
     | Some (Error _) ->
         t.counters.dropped <- t.counters.dropped + 1;
         Host.Drop "host-pair keying failure"
-    | None -> Host.Drop "host-pair awaiting master key"
+    | None -> Host.Held "host-pair awaiting master key"
   end
 
 let install ?(variant = Direct) ?(secret = true) ?(bypass = fun _ -> false)

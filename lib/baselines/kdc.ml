@@ -233,11 +233,11 @@ let output_hook t (h : Ipv4.header) payload : Host.hook_result =
         match Hashtbl.find_opt t.pending dst_name with
         | Some queue ->
             queue := (h, payload) :: !queue;
-            Host.Drop "kdc awaiting session"
+            Host.Held "kdc awaiting session"
         | None ->
             Hashtbl.replace t.pending dst_name (ref [ (h, payload) ]);
             request_session t dst_name;
-            Host.Drop "kdc awaiting session")
+            Host.Held "kdc awaiting session")
   end
 
 type error = Truncated | Bad_ticket | Expired | Bad_mac | Decrypt_error

@@ -238,11 +238,11 @@ let output_hook t (h : Ipv4.header) payload : Host.hook_result =
         match Hashtbl.find_opt t.pending (Addr.to_int h.dst) with
         | Some p ->
             p.queue <- (h, payload) :: p.queue;
-            Host.Drop "photuris awaiting handshake"
+            Host.Held "photuris awaiting handshake"
         | None ->
             let p = start_handshake t ~dst:h.dst in
             p.queue <- (h, payload) :: p.queue;
-            Host.Drop "photuris awaiting handshake")
+            Host.Held "photuris awaiting handshake")
   end
 
 let input_hook t (h : Ipv4.header) payload : Host.hook_result =

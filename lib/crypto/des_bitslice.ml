@@ -15,7 +15,17 @@
    a renaming of word indices, so the only per-pass bit shuffling is
    the four transposes in and four out; the round function is the
    generated {!Des_sbox_circuits} evaluated once per S-box on whole
-   words, giving all live lanes one DES round per ~1.7k ALU ops.
+   words, giving all live lanes one DES round per ~1.7k ALU ops.  The
+   rounds allocate nothing: the 48 S-box inputs are loaded at literal
+   E-table indices (see [des_pass]), so a full flush allocates only
+   per-group bookkeeping (~10 words per job for 63 MTU chains) and
+   [decrypt_cbc_sub] little beyond its plaintext.
+
+   Callers.  Cross-flow CBC jobs come from [Engine.Batch] — which every
+   IP stack's send path goes through, so a burst of secret datagrams on
+   distinct flows is sealed here 63 at a time — and from
+   [Engine.Batch_rx]; a single long ciphertext is opened with its
+   blocks as lanes ([decrypt_cbc_sub]).
 
    Key schedules are not recomputed here: lanes feed the packed
    [Des.sched_e]/[sched_d] words from PR 5's per-flow caches, and
@@ -84,18 +94,9 @@ let transpose32 (a : int array) =
 
 (* --- FIPS tables as 0-based word renamings --- *)
 
-(* E expansion (the scalar kernel fuses it into its SP tables, so it is
-   transcribed here; the differential battery pins it to Des_ref). *)
-let e_table =
-  [| 32;  1;  2;  3;  4;  5;  4;  5;  6;  7;  8;  9;
-      8;  9; 10; 11; 12; 13; 12; 13; 14; 15; 16; 17;
-     16; 17; 18; 19; 20; 21; 20; 21; 22; 23; 24; 25;
-     24; 25; 26; 27; 28; 29; 28; 29; 30; 31; 32;  1 |]
-
 let ip_l = Array.init 32 (fun i -> Des_kernel.ip_table.(i) - 1)
 let ip_r = Array.init 32 (fun i -> Des_kernel.ip_table.(i + 32) - 1)
 let fp_src = Array.init 64 (fun i -> Des_kernel.fp_table.(i) - 1)
-let e0 = Array.init 48 (fun i -> e_table.(i) - 1)
 
 (* Packed-schedule bit positions: round subkey bit i (0..47) of a
    [Des.sched_e] schedule lives in word [2*round + kb_word.(i)] at bit
@@ -297,7 +298,16 @@ let load_keys_broadcast s ke =
   done
 
 (* One full DES pass (IP, 16 rounds, FP) over the scattered lanes, in
-   place, with the subkey words currently in [kw]. *)
+   place, with the subkey words currently in [kw].
+
+   The E expansion is a renaming of word indices, written out below as
+   literal 0-based [rr] indices (FIPS E-table entry minus one; the
+   scalar kernel fuses E into its SP tables, and the differential
+   battery pins these to [Des_ref]).  The 48 loads are spelled out
+   rather than going through a local [x i] accessor: without flambda a
+   helper closing over the round's [rr]/[ko] is a heap closure per
+   round and an indirect call per S-box input — 16 closures and 768
+   calls per pass. *)
 let des_pass s =
   let {
     hi_a;
@@ -335,18 +345,70 @@ let des_pass s =
   for rnd = 0 to 15 do
     let ko = rnd * 48 in
     let rr = !r and ll = !l in
-    let x i =
-      Array.unsafe_get rr (Array.unsafe_get e0 i)
-      lxor Array.unsafe_get kw (ko + i)
-    in
-    Des_sbox_circuits.s1 (x 0) (x 1) (x 2) (x 3) (x 4) (x 5) ll;
-    Des_sbox_circuits.s2 (x 6) (x 7) (x 8) (x 9) (x 10) (x 11) ll;
-    Des_sbox_circuits.s3 (x 12) (x 13) (x 14) (x 15) (x 16) (x 17) ll;
-    Des_sbox_circuits.s4 (x 18) (x 19) (x 20) (x 21) (x 22) (x 23) ll;
-    Des_sbox_circuits.s5 (x 24) (x 25) (x 26) (x 27) (x 28) (x 29) ll;
-    Des_sbox_circuits.s6 (x 30) (x 31) (x 32) (x 33) (x 34) (x 35) ll;
-    Des_sbox_circuits.s7 (x 36) (x 37) (x 38) (x 39) (x 40) (x 41) ll;
-    Des_sbox_circuits.s8 (x 42) (x 43) (x 44) (x 45) (x 46) (x 47) ll;
+    Des_sbox_circuits.s1
+      (Array.unsafe_get rr 31 lxor Array.unsafe_get kw ko)
+      (Array.unsafe_get rr 0 lxor Array.unsafe_get kw (ko + 1))
+      (Array.unsafe_get rr 1 lxor Array.unsafe_get kw (ko + 2))
+      (Array.unsafe_get rr 2 lxor Array.unsafe_get kw (ko + 3))
+      (Array.unsafe_get rr 3 lxor Array.unsafe_get kw (ko + 4))
+      (Array.unsafe_get rr 4 lxor Array.unsafe_get kw (ko + 5))
+      ll;
+    Des_sbox_circuits.s2
+      (Array.unsafe_get rr 3 lxor Array.unsafe_get kw (ko + 6))
+      (Array.unsafe_get rr 4 lxor Array.unsafe_get kw (ko + 7))
+      (Array.unsafe_get rr 5 lxor Array.unsafe_get kw (ko + 8))
+      (Array.unsafe_get rr 6 lxor Array.unsafe_get kw (ko + 9))
+      (Array.unsafe_get rr 7 lxor Array.unsafe_get kw (ko + 10))
+      (Array.unsafe_get rr 8 lxor Array.unsafe_get kw (ko + 11))
+      ll;
+    Des_sbox_circuits.s3
+      (Array.unsafe_get rr 7 lxor Array.unsafe_get kw (ko + 12))
+      (Array.unsafe_get rr 8 lxor Array.unsafe_get kw (ko + 13))
+      (Array.unsafe_get rr 9 lxor Array.unsafe_get kw (ko + 14))
+      (Array.unsafe_get rr 10 lxor Array.unsafe_get kw (ko + 15))
+      (Array.unsafe_get rr 11 lxor Array.unsafe_get kw (ko + 16))
+      (Array.unsafe_get rr 12 lxor Array.unsafe_get kw (ko + 17))
+      ll;
+    Des_sbox_circuits.s4
+      (Array.unsafe_get rr 11 lxor Array.unsafe_get kw (ko + 18))
+      (Array.unsafe_get rr 12 lxor Array.unsafe_get kw (ko + 19))
+      (Array.unsafe_get rr 13 lxor Array.unsafe_get kw (ko + 20))
+      (Array.unsafe_get rr 14 lxor Array.unsafe_get kw (ko + 21))
+      (Array.unsafe_get rr 15 lxor Array.unsafe_get kw (ko + 22))
+      (Array.unsafe_get rr 16 lxor Array.unsafe_get kw (ko + 23))
+      ll;
+    Des_sbox_circuits.s5
+      (Array.unsafe_get rr 15 lxor Array.unsafe_get kw (ko + 24))
+      (Array.unsafe_get rr 16 lxor Array.unsafe_get kw (ko + 25))
+      (Array.unsafe_get rr 17 lxor Array.unsafe_get kw (ko + 26))
+      (Array.unsafe_get rr 18 lxor Array.unsafe_get kw (ko + 27))
+      (Array.unsafe_get rr 19 lxor Array.unsafe_get kw (ko + 28))
+      (Array.unsafe_get rr 20 lxor Array.unsafe_get kw (ko + 29))
+      ll;
+    Des_sbox_circuits.s6
+      (Array.unsafe_get rr 19 lxor Array.unsafe_get kw (ko + 30))
+      (Array.unsafe_get rr 20 lxor Array.unsafe_get kw (ko + 31))
+      (Array.unsafe_get rr 21 lxor Array.unsafe_get kw (ko + 32))
+      (Array.unsafe_get rr 22 lxor Array.unsafe_get kw (ko + 33))
+      (Array.unsafe_get rr 23 lxor Array.unsafe_get kw (ko + 34))
+      (Array.unsafe_get rr 24 lxor Array.unsafe_get kw (ko + 35))
+      ll;
+    Des_sbox_circuits.s7
+      (Array.unsafe_get rr 23 lxor Array.unsafe_get kw (ko + 36))
+      (Array.unsafe_get rr 24 lxor Array.unsafe_get kw (ko + 37))
+      (Array.unsafe_get rr 25 lxor Array.unsafe_get kw (ko + 38))
+      (Array.unsafe_get rr 26 lxor Array.unsafe_get kw (ko + 39))
+      (Array.unsafe_get rr 27 lxor Array.unsafe_get kw (ko + 40))
+      (Array.unsafe_get rr 28 lxor Array.unsafe_get kw (ko + 41))
+      ll;
+    Des_sbox_circuits.s8
+      (Array.unsafe_get rr 27 lxor Array.unsafe_get kw (ko + 42))
+      (Array.unsafe_get rr 28 lxor Array.unsafe_get kw (ko + 43))
+      (Array.unsafe_get rr 29 lxor Array.unsafe_get kw (ko + 44))
+      (Array.unsafe_get rr 30 lxor Array.unsafe_get kw (ko + 45))
+      (Array.unsafe_get rr 31 lxor Array.unsafe_get kw (ko + 46))
+      (Array.unsafe_get rr 0 lxor Array.unsafe_get kw (ko + 47))
+      ll;
     let t = !l in
     l := !r;
     r := t

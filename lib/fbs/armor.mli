@@ -45,6 +45,7 @@ type counters = {
   mutable mac_midstate_misses : int;
   mutable rx_batch_deferred : int;
   mutable rx_batch_flushes : int;
+  mutable batch_bitsliced_blocks : int;
 }
 
 type aux = ..

@@ -84,9 +84,12 @@ type counters = Armor.counters = {
   (* Receive-batch accounting: [rx_batch_deferred] counts receives whose
      body open was parked in a Batch_rx queue (the scalar prologue ran at
      enqueue; decrypt and MAC verify at flush); [rx_batch_flushes] counts
-     kernel flushes.  Both stay 0 on the scalar receive path. *)
+     kernel flushes.  Both stay 0 on the scalar receive path.
+     [batch_bitsliced_blocks] counts the cipher blocks either direction's
+     batch flushes ran through the bitsliced kernel. *)
   mutable rx_batch_deferred : int;
   mutable rx_batch_flushes : int;
+  mutable batch_bitsliced_blocks : int;
 }
 
 let drops_by_cause c =
@@ -190,6 +193,7 @@ let create ?(suite = Suite.paper_md5_des) ?(tfkc_sets = 128) ?(rfkc_sets = 128)
       mac_midstate_misses = 0;
       rx_batch_deferred = 0;
       rx_batch_flushes = 0;
+      batch_bitsliced_blocks = 0;
     }
   in
   {
@@ -274,6 +278,7 @@ let register_metrics (t : t) m =
   register_probe e "macmid.misses" (fun () -> c.mac_midstate_misses);
   register_probe e "rxbatch.deferred" (fun () -> c.rx_batch_deferred);
   register_probe e "rxbatch.flushes" (fun () -> c.rx_batch_flushes);
+  register_probe e "batch.bitsliced_blocks" (fun () -> c.batch_bitsliced_blocks);
   (* Per-datagram views of the same counters: the zero-copy invariant in
      observable form (~1 alloc and ~0 extra copies per datagram).  Ratio
      probes, not float probes: several engines registered under one name
@@ -516,6 +521,7 @@ module Pending = struct
     }
 
   let pending q = Queue.length q.items
+  let set_on_park q f = q.on_park <- f
 
   let flush q =
     if Queue.is_empty q.items then (0, 0)
@@ -527,7 +533,10 @@ module Pending = struct
       for i = 0 to n - 1 do
         items.(i) <- Queue.pop q.items
       done;
-      q.run q.engine ~threshold:q.threshold items
+      let ((bitsliced, _) as counts) = q.run q.engine ~threshold:q.threshold items in
+      let c = q.engine.counters in
+      c.batch_bitsliced_blocks <- c.batch_bitsliced_blocks + bitsliced;
+      counts
     end
 
   (* Time-based flush: a partial batch older than [linger] stops waiting
@@ -585,6 +594,7 @@ module Batch = struct
   let create ?threshold ?capacity ?linger engine : batch =
     Pending.create "Batch" ~run ?threshold ?capacity ?linger engine
 
+  let set_on_park = Pending.set_on_park
   let pending = Pending.pending
   let flush = Pending.flush
   let tick = Pending.tick
@@ -627,7 +637,7 @@ module Batch_rx = struct
   let create ?threshold ?capacity ?linger engine : batch =
     Pending.create "Batch_rx" ~run ?threshold ?capacity ?linger engine
 
-  let set_on_park (b : batch) f = b.Pending.on_park <- f
+  let set_on_park = Pending.set_on_park
   let pending = Pending.pending
   let flush = Pending.flush
   let tick = Pending.tick

@@ -74,6 +74,10 @@ type counters = Armor.counters = {
   mutable rx_batch_flushes : int;
       (** Non-empty {!Batch_rx.flush} passes (one bitsliced kernel sweep
           each). *)
+  mutable batch_bitsliced_blocks : int;
+      (** Cipher blocks that {!Batch.flush} and {!Batch_rx.flush} ran
+          through the bitsliced kernel (the rest of a flush's blocks took
+          the scalar fallback). *)
 }
 
 val drops_by_cause : counters -> (string * int) list
@@ -172,7 +176,16 @@ val register_metrics : t -> Fbsr_util.Metrics.t -> unit
     {!Fbsr_crypto.Des_bitslice} and only then fires the senders'
     continuations, so a caller never observes a half-sealed datagram.
     Results are byte-identical to the unbatched send, datagram for
-    datagram. *)
+    datagram.  Every other send given a batch (non-secret, or a suite
+    without a batched kernel) seals and delivers inline.
+
+    A queue drains on three triggers: the enqueue that fills it to
+    [capacity], an explicit {!Batch.flush}, or {!Batch.tick} past
+    [linger].  A caller that drives flushes from an event loop arms them
+    from {!Batch.set_on_park}: the IP stack ([Fbsr_fbs_ip.Stack]) sends
+    every datagram through its host's batch and flushes a partial one at
+    the same simulated instant, so its wires leave in enqueue order with
+    no added delay. *)
 module Batch : sig
   type batch
   (** A pending-seal queue bound to one engine. *)
@@ -184,6 +197,16 @@ module Batch : sig
       [capacity] (default {!Fbsr_crypto.Des_bitslice.lanes}): enqueue
       auto-flushes when the queue reaches this size.  [linger] (default
       1 ms): {!tick} flushes a partial batch older than this. *)
+
+  val set_on_park : batch -> (unit -> unit) -> unit
+  (** [set_on_park b f] installs [f] to run after every enqueue that
+      leaves a datagram parked (i.e. that did not trigger a capacity
+      flush).  A send whose keying suspended enqueues {e later}, from
+      the resumed continuation's event — after {!send} has returned — so
+      a caller that arms its flush only when it observes {!pending} grow
+      synchronously would park such a datagram forever.  Arm the flush
+      here instead; the hook runs in the event that performed the
+      enqueue. *)
 
   val pending : batch -> int
   (** Datagrams currently queued. *)
@@ -228,15 +251,9 @@ module Batch_rx : sig
       [linger] (default 1 ms) {!tick}'s age limit. *)
 
   val set_on_park : batch -> (unit -> unit) -> unit
-  (** [set_on_park b f] installs [f] to run after every enqueue that
-      leaves a frame parked (i.e. that did not trigger a capacity
-      flush).  Deferrable frames whose keying suspended enqueue {e
-      later}, when the continuation resumes in another event — after
-      {!receive} has already returned — so a caller that arms its linger
-      flush only when it observes {!pending} grow synchronously would
-      never flush such a frame.  Install the flush-arming logic here
-      instead; the hook always runs in the event that performed the
-      enqueue. *)
+  (** As {!Batch.set_on_park}: [f] runs after every enqueue that leaves
+      a frame parked, including the late enqueue of a frame whose
+      receive-side keying suspended. *)
 
   val pending : batch -> int
   (** Frames currently queued.  A queued frame's plaintext string (the

@@ -178,6 +178,7 @@ let aggregate_counters t =
       mac_midstate_misses = 0;
       rx_batch_deferred = 0;
       rx_batch_flushes = 0;
+      batch_bitsliced_blocks = 0;
     }
   in
   Array.iter
@@ -204,6 +205,7 @@ let aggregate_counters t =
       z.mac_midstate_hits <- z.mac_midstate_hits + c.Engine.mac_midstate_hits;
       z.mac_midstate_misses <- z.mac_midstate_misses + c.Engine.mac_midstate_misses;
       z.rx_batch_deferred <- z.rx_batch_deferred + c.Engine.rx_batch_deferred;
-      z.rx_batch_flushes <- z.rx_batch_flushes + c.Engine.rx_batch_flushes)
+      z.rx_batch_flushes <- z.rx_batch_flushes + c.Engine.rx_batch_flushes;
+      z.batch_bitsliced_blocks <- z.batch_bitsliced_blocks + c.Engine.batch_bitsliced_blocks)
     t.engines;
   z

@@ -21,7 +21,19 @@
    suspends while the MKD round-trips the network; the datagram is parked
    and finishes through [Host.transmit_prepared] / [Host.deliver_up] when
    the key arrives — the simulator's analogue of the paper's blocking
-   Upcall(). *)
+   Upcall().
+
+   Send goes through one cross-flow seal batch per stack
+   ([Engine.Batch]), on both the FAM path and the combined fast path.
+   The engine decides what parks: a secret DES-CBC body waits there for
+   the bitsliced kernel, everything else seals inline.  A
+   batch drains when an enqueue fills it (63 lanes), or otherwise from
+   one flush event at [~delay:0.], armed by the first park of a burst
+   from the batch's on-park hook — which also covers a late enqueue from
+   a resumed MKD continuation.  Either way the wires leave at the same
+   simulated instant, in enqueue order, so batching changes no simulated
+   time.  A hook that keeps a datagram to finish it later (parked on a
+   key fetch or in a batch) returns [Host.Held], not a drop. *)
 
 open Fbsr_netsim
 
@@ -95,6 +107,7 @@ type counters = {
   mutable resumed : int;
   mutable dropped_error : int;
   mutable bypassed : int;
+  mutable tx_batched : int; (* datagrams parked in the send batch *)
   mutable rx_batched : int; (* frames parked in the receive batch *)
 }
 
@@ -106,10 +119,8 @@ type t = {
   spans : Fbsr_util.Span.t;
   policy_state : Fbsr_fbs.Policy_five_tuple.t;
   fast_path : Fast_path.t option; (* combined FST+TFKC, when configured *)
+  tx_batch : Fbsr_fbs.Engine.Batch.batch;
   rx_batch : Fbsr_fbs.Engine.Batch_rx.batch option; (* when batched_rx *)
-  mutable rx_flush_scheduled : bool;
-      (* one pending linger-flush event at a time; re-armed on the next
-         enqueue after it fires *)
   asm : Fbsr_util.Byte_writer.t;
       (* Reusable assembly buffer for the IP-option encapsulation splices
          (option build on send, option+payload rejoin on receive); reset
@@ -118,6 +129,7 @@ type t = {
 
 let engine t = t.engine
 let counters t = t.counters
+let tx_batch t = t.tx_batch
 let host t = t.host
 
 (* Register the stack's own counters (under "fbs_ip.stack.") and the whole
@@ -134,6 +146,7 @@ let register_metrics (t : t) m =
   register_probe s "resumed" (fun () -> c.resumed);
   register_probe s "dropped_error" (fun () -> c.dropped_error);
   register_probe s "bypassed" (fun () -> c.bypassed);
+  register_probe s "tx_batched" (fun () -> c.tx_batched);
   register_probe s "rx_batched" (fun () -> c.rx_batched);
   Fbsr_fbs.Engine.register_metrics t.engine m
 let policy_state t = t.policy_state
@@ -208,6 +221,7 @@ let decap t (h : Ipv4.header) payload : (Ipv4.header * Fbsr_util.Slice.t) option
    suspending on an MKD fetch) and installs it. *)
 let send_via_fast_path t fp (h : Ipv4.header) payload ~src_port ~dst_port ~secret ~now
     k =
+  let batch = t.tx_batch in
   let src = Addr.to_string h.src and dst = Addr.to_string h.dst in
   let src_p = Fbsr_fbs.Principal.of_string src
   and dst_p = Fbsr_fbs.Principal.of_string dst in
@@ -215,24 +229,29 @@ let send_via_fast_path t fp (h : Ipv4.header) payload ~src_port ~dst_port ~secre
     Fast_path.lookup fp ~now ~protocol:h.protocol ~src ~src_port ~dst ~dst_port
   with
   | Fast_path.Hit (sfl, entry) ->
-      Fbsr_fbs.Engine.send_flow ~entry t.engine ~now ~sfl ~src:src_p ~dst:dst_p ~secret
-        ~payload k
+      Fbsr_fbs.Engine.send_flow ~batch ~entry t.engine ~now ~sfl ~src:src_p
+        ~dst:dst_p ~secret ~payload k
   | Fast_path.Miss sfl ->
       Fbsr_fbs.Engine.derive_flow_key t.engine ~sfl ~src:src_p ~dst:dst_p (function
         | Error e -> k (Error e)
         | Ok entry ->
             Fast_path.install_entry fp ~sfl ~entry;
-            Fbsr_fbs.Engine.send_flow ~entry t.engine ~now ~sfl ~src:src_p ~dst:dst_p
-              ~secret ~payload k)
+            Fbsr_fbs.Engine.send_flow ~batch ~entry t.engine ~now ~sfl ~src:src_p
+              ~dst:dst_p ~secret ~payload k)
 
-(* Late completion of a send: the datagram was parked during an MKD
-   fetch and is transmitted from the resumed continuation. *)
-let sealed_late t h = function
-  | Ok wire ->
-      t.counters.resumed <- t.counters.resumed + 1;
-      t.counters.sent <- t.counters.sent + 1;
+(* Late completion of a send: the datagram was parked — during an MKD
+   fetch ([resumed]), or in the send batch until its flush — and is
+   transmitted from the resumed continuation or the flush.  No caller is
+   left to raise a transmit failure to (DF set and too big): it is a
+   stack error, and the rest of the flush still goes out. *)
+let sealed_late t h ~batch_parked = function
+  | Ok wire -> (
+      if not batch_parked then t.counters.resumed <- t.counters.resumed + 1;
       let h, p = encap t h wire in
-      Host.transmit_prepared t.host h p
+      match Host.transmit_prepared t.host h p with
+      | () -> t.counters.sent <- t.counters.sent + 1
+      | exception Host.Send_error _ ->
+          t.counters.dropped_error <- t.counters.dropped_error + 1)
   | Error _ -> t.counters.dropped_error <- t.counters.dropped_error + 1
 
 let output_hook t (h : Ipv4.header) payload : Host.hook_result =
@@ -249,7 +268,12 @@ let output_hook t (h : Ipv4.header) payload : Host.hook_result =
        the resumed continuation. *)
     let sync_result = ref None in
     let completed_sync = ref true in
-    let k r = if !completed_sync then sync_result := Some r else sealed_late t h r in
+    let batch_parked = ref false in
+    let k r =
+      if !completed_sync then sync_result := Some r
+      else sealed_late t h ~batch_parked:!batch_parked r
+    in
+    let before = Fbsr_fbs.Engine.Batch.pending t.tx_batch in
     (match t.fast_path with
     | Some fp -> send_via_fast_path t fp h payload ~src_port ~dst_port ~secret ~now k
     | None ->
@@ -258,7 +282,16 @@ let output_hook t (h : Ipv4.header) payload : Host.hook_result =
             ~size:(String.length payload) ~src:(principal_of_addr h.src)
             ~dst:(principal_of_addr h.dst) ()
         in
-        Fbsr_fbs.Engine.send t.engine ~now ~attrs ~secret ~payload k);
+        Fbsr_fbs.Engine.send ~batch:t.tx_batch t.engine ~now ~attrs ~secret ~payload
+          k);
+    (* Queued synchronously (not sealed inline, not sent by a capacity
+       flush).  As on receive, the flush is armed from the batch's on-park
+       hook (see [install]), which also sees the late enqueue of a send
+       resumed from an MKD fetch. *)
+    if
+      Option.is_none !sync_result
+      && Fbsr_fbs.Engine.Batch.pending t.tx_batch = before + 1
+    then batch_parked := true;
     completed_sync := false;
     match !sync_result with
     | Some (Ok wire) ->
@@ -269,8 +302,13 @@ let output_hook t (h : Ipv4.header) payload : Host.hook_result =
         t.counters.dropped_error <- t.counters.dropped_error + 1;
         Host.Drop "fbs send error"
     | None ->
-        t.counters.suspended_out <- t.counters.suspended_out + 1;
-        Host.Drop "fbs awaiting master key"
+        if !batch_parked then
+          (* Sent from the batch flush via [Host.transmit_prepared]. *)
+          Host.Held "fbs tx batched"
+        else begin
+          t.counters.suspended_out <- t.counters.suspended_out + 1;
+          Host.Held "fbs awaiting master key"
+        end
   end
 
 (* Frames parked in the receive batch (0 without one). *)
@@ -362,12 +400,28 @@ let input_hook t (h : Ipv4.header) payload : Host.hook_result =
     | None ->
         if !batch_parked then
           (* Delivered from the batch flush via [Host.deliver_up]. *)
-          Host.Drop "fbs rx batched"
+          Host.Held "fbs rx batched"
         else begin
           t.counters.suspended_in <- t.counters.suspended_in + 1;
-          Host.Drop "fbs awaiting master key"
+          Host.Held "fbs awaiting master key"
         end
   end
+
+(* A batch's on-park hook: count the park and, unless a flush is already
+   pending, schedule one [delay] ahead (re-armed by the next park after it
+   runs).  A park may come from an application's send between runs or
+   from inside an event (a packet arrival, an MKD-reply continuation);
+   [Engine.schedule] serves both. *)
+let flush_on_park host ~delay ~count flush =
+  let armed = ref false in
+  fun () ->
+    count ();
+    if not !armed then begin
+      armed := true;
+      Engine.schedule (Host.engine host) ~delay (fun () ->
+          armed := false;
+          ignore (flush () : int * int))
+    end
 
 let install ?(config = default_config ()) ?(sfl_seed = 0x5f1)
     ?(trace = Fbsr_util.Trace.none) ?(spans = Fbsr_util.Span.none)
@@ -415,36 +469,36 @@ let install ?(config = default_config ()) ?(sfl_seed = 0x5f1)
           resumed = 0;
           dropped_error = 0;
           bypassed = 0;
+          tx_batched = 0;
           rx_batched = 0;
         };
       policy_state;
       fast_path;
+      tx_batch = Fbsr_fbs.Engine.Batch.create engine;
       rx_batch =
         (if config.batched_rx then
            Some (Fbsr_fbs.Engine.Batch_rx.create ~linger:config.rx_linger engine)
          else None);
-      rx_flush_scheduled = false;
       asm = Fbsr_util.Byte_writer.create ~capacity:64 ();
     }
   in
-  (* Arm the rx linger flush from the batch's own enqueue, so every park
-     is covered — in particular a frame whose keying suspended, which
-     enqueues from the resumed continuation's event, after [input_hook]
-     has long returned.  The hook always runs inside a scheduler event
-     (packet arrival or MKD-reply continuation), so [Engine.schedule] is
-     available. *)
+  (* Both batches arm their flush from their own enqueue, so every park is
+     covered — in particular a datagram whose keying suspended, which
+     enqueues from the resumed continuation's event, after the hook has
+     long returned.  A partial send batch ships at the instant it formed
+     (after the current event, so the rest of a burst joins it); a
+     partial receive batch waits at most [rx_linger]. *)
+  Fbsr_fbs.Engine.Batch.set_on_park t.tx_batch
+    (flush_on_park host ~delay:0.
+       ~count:(fun () -> t.counters.tx_batched <- t.counters.tx_batched + 1)
+       (fun () -> Fbsr_fbs.Engine.Batch.flush t.tx_batch));
   (match t.rx_batch with
   | None -> ()
   | Some b ->
-      Fbsr_fbs.Engine.Batch_rx.set_on_park b (fun () ->
-          t.counters.rx_batched <- t.counters.rx_batched + 1;
-          if not t.rx_flush_scheduled then begin
-            t.rx_flush_scheduled <- true;
-            Engine.schedule (Host.engine t.host) ~delay:t.config.rx_linger
-              (fun () ->
-                t.rx_flush_scheduled <- false;
-                ignore (Fbsr_fbs.Engine.Batch_rx.flush b : int * int))
-          end));
+      Fbsr_fbs.Engine.Batch_rx.set_on_park b
+        (flush_on_park host ~delay:config.rx_linger
+           ~count:(fun () -> t.counters.rx_batched <- t.counters.rx_batched + 1)
+           (fun () -> Fbsr_fbs.Engine.Batch_rx.flush b)));
   (match config.encapsulation with
   | `Shim -> ()
   | `Ip_option ->

@@ -1,7 +1,20 @@
 (** The FBS-to-IP mapping (paper Section 7): FBS header between the IPv4
     header and the transport payload, ip_output/ip_input hooks, 5-tuple +
     THRESHOLD flow policy, secure flow bypass, MSS fix, and datagram
-    parking across MKD fetches. *)
+    parking across MKD fetches.
+
+    Send path: every datagram the output hook secures goes through the
+    stack's one {!Fbsr_fbs.Engine.Batch} — {!Fbsr_fbs.Engine.send} on the
+    FAM path, {!Fbsr_fbs.Engine.send_flow} on the [combined_fast_path].
+    Secret DES-CBC bodies park there for the cross-flow bitsliced kernel;
+    every other send completes inline.  A parked burst is sealed and
+    transmitted when the 63rd enqueue fills the batch, or otherwise by
+    one flush event at the same simulated instant, armed by the burst's
+    first park (and by the late enqueue of a send resumed from an MKD
+    fetch).  Either way the wires leave at the instant they were sent, in
+    enqueue order: simulated timing is that of sealing each datagram
+    inline.  The hooks return {!Fbsr_netsim.Host.Held} for a datagram
+    they finish later (batched, or awaiting a master key). *)
 
 open Fbsr_netsim
 
@@ -68,6 +81,10 @@ type counters = {
   mutable resumed : int;
   mutable dropped_error : int;
   mutable bypassed : int;
+  mutable tx_batched : int;
+      (** Datagrams parked in the send batch (every enqueue that did not
+          itself fill the batch) and sent from its flush.  Unlike an MKD
+          park, a batched send does not count as [resumed]. *)
   mutable rx_batched : int;
       (** Frames parked in the receive batch ([batched_rx] mode) and
           delivered from its flush. *)
@@ -97,6 +114,11 @@ val uninstall : t -> unit
 
 val engine : t -> Fbsr_fbs.Engine.t
 val counters : t -> counters
+
+val tx_batch : t -> Fbsr_fbs.Engine.Batch.batch
+(** The stack's send batch.  Every send leaves it empty by the end of the
+    simulated instant it was queued in; [Batch.pending] is 0 at
+    quiescence. *)
 
 val register_metrics : t -> Fbsr_util.Metrics.t -> unit
 (** Register the stack's counters under [fbs_ip.stack.] and the engine's

@@ -12,11 +12,14 @@
    higher-layer protocol.  The FBS receive hook runs between parts 2 and 3.
 
    A hook takes the header and payload, and may transform them (FBS header
-   insertion/removal), pass them through unchanged, or drop the packet. *)
+   insertion/removal), pass them through unchanged, drop the packet, or
+   hold it: keep it (awaiting key material, or parked in a batch) and
+   finish it later itself through [transmit_prepared] / [deliver_up]. *)
 
 type hook_result =
   | Pass of Ipv4.header * string
   | Drop of string (* reason, counted in stats *)
+  | Held of string (* the hook finishes the datagram later; counted apart *)
 
 type hook = Ipv4.header -> string -> hook_result
 
@@ -29,6 +32,7 @@ type stats = {
   mutable reassembled : int;
   mutable drops_bad : int; (* malformed / checksum *)
   mutable drops_hook : int; (* dropped by a security hook *)
+  mutable held : int; (* held by a security hook, to be finished by it *)
   mutable drops_no_proto : int;
   mutable drops_not_mine : int;
   mutable send_errors : int; (* e.g. DF + too big *)
@@ -44,6 +48,7 @@ let new_stats () =
     reassembled = 0;
     drops_bad = 0;
     drops_hook = 0;
+    held = 0;
     drops_no_proto = 0;
     drops_not_mine = 0;
     send_errors = 0;
@@ -157,6 +162,7 @@ let rec ip_input t raw =
             in
             (match verdict with
             | Drop _ -> t.stats.drops_hook <- t.stats.drops_hook + 1
+            | Held _ -> t.stats.held <- t.stats.held + 1
             | Pass (h, payload) -> dispatch t h payload)
       end
 
@@ -217,6 +223,7 @@ let ip_output t ?(dont_fragment = false) ?(ttl = 64) ~protocol ~dst payload =
   in
   match verdict with
   | Drop _ -> t.stats.drops_hook <- t.stats.drops_hook + 1
+  | Held _ -> t.stats.held <- t.stats.held + 1
   | Pass (h, payload) ->
       (* The hook may have grown the payload: [fragment_and_transmit] fixes
          the length (as FBSSend() fixes the IP header after insertion). *)

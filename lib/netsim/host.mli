@@ -6,7 +6,14 @@
     and parts 2-3 on input — the exact insertion points of the paper's
     FBSSend()/FBSReceive() kernel hooks. *)
 
-type hook_result = Pass of Ipv4.header * string | Drop of string
+type hook_result =
+  | Pass of Ipv4.header * string
+  | Drop of string  (** Discarded; counted in [drops_hook]. *)
+  | Held of string
+      (** Kept by the hook, which finishes the datagram itself later —
+          through {!transmit_prepared} on output, {!deliver_up} on input
+          (a datagram awaiting key material, or parked in a batch).
+          Counted in [held], not as a drop. *)
 
 type hook = Ipv4.header -> string -> hook_result
 
@@ -19,6 +26,7 @@ type stats = {
   mutable reassembled : int;
   mutable drops_bad : int;
   mutable drops_hook : int;
+  mutable held : int;  (** Datagrams a hook returned {!Held} for. *)
   mutable drops_no_proto : int;
   mutable drops_not_mine : int;
   mutable send_errors : int;

@@ -614,6 +614,46 @@ let test_bitslice_decrypt_corrupt_padding () =
                ~len:(String.length bogus))))
     [ 2; 1000 ]
 
+(* The kernel's garbage, in heap words.  A full 63-lane flush of MTU
+   chains may allocate only per-group bookkeeping (a few words per job),
+   and a blocks-as-lanes decrypt only its plaintext buffer plus a small
+   constant: the round function must not box anything per pass. *)
+let test_bitslice_allocation () =
+  let src = String.init 1460 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  let iv = "initvect" in
+  let padded = Des.padded_length (String.length src) in
+  let jobs =
+    Array.init Des_bitslice.lanes (fun i ->
+        Des_bitslice.cbc_job
+          ~key:(Des.of_string (Printf.sprintf "bskey%03d" i))
+          ~iv ~src ~src_pos:0 ~src_len:(String.length src)
+          ~dst:(Bytes.create padded) ~dst_pos:0)
+  in
+  let words f =
+    ignore (Sys.opaque_identity (f ()));
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let per_job =
+    words (fun () -> Des_bitslice.encrypt_cbc_jobs jobs)
+    /. float_of_int Des_bitslice.lanes
+  in
+  if per_job >= 32.0 then
+    Alcotest.failf "63x1460 B flush: %.1f minor words per job (want < 32)" per_job;
+  let key = Des.of_string "k3yk3yk3" in
+  let ct = Des.encrypt_cbc ~iv key src in
+  check Alcotest.int "ciphertext length" 1464 (String.length ct);
+  let dec =
+    words (fun () ->
+        Des_bitslice.decrypt_cbc_sub ~iv key ~src:ct ~pos:0 ~len:(String.length ct))
+  in
+  (* The plaintext's own block: header + ceil((len + 1) / word) words. *)
+  let out_words = 1 + ((String.length src + Sys.word_size / 8) / (Sys.word_size / 8)) in
+  if dec > float_of_int (out_words + 16) then
+    Alcotest.failf "decrypt_cbc_sub 1464 B: %.0f minor words (output %d, want <= %d)"
+      dec out_words (out_words + 16)
+
 (* --- Hash and MAC midstates ---
 
    A midstate must be (a) byte-identical to the one-shot digest over the
@@ -1234,6 +1274,8 @@ let () =
           qtest prop_bitslice_dec_jobs;
           Alcotest.test_case "dec_job corrupt padding" `Quick
             test_bitslice_dec_job_corrupt_padding;
+          Alcotest.test_case "flush and decrypt allocate no per-pass garbage" `Quick
+            test_bitslice_allocation;
         ] );
       ( "midstates",
         [

@@ -517,6 +517,136 @@ let test_ca_outage_recovery () =
   Testbed.run tb;
   check Alcotest.int "delivered after recovery" 1 !got
 
+(* --- Send batching through the stack --- *)
+
+let burst_flows = 64
+let burst_bytes = 1460
+
+(* A warm Testbed pair (one datagram on another flow fetched both master
+   keys), then a burst of [burst_flows] secret 1460 B datagrams, one per
+   new flow, all sent at one simulated instant — or, [stepwise], with the
+   simulation run to quiescence after each send, so every batch flush
+   holds one datagram and takes the scalar kernel.  Returns the frames
+   the burst put on the medium, the payloads delivered (by source port)
+   and the pair. *)
+let send_burst ~stepwise =
+  let tb, a, b = make_pair () in
+  let b_addr = Host.addr b.Testbed.host in
+  let delivered = ref [] in
+  Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port d ->
+      delivered := (src_port, d) :: !delivered);
+  Udp_stack.send a.Testbed.host ~src_port:4999 ~dst:b_addr ~dst_port:7 "warm";
+  Testbed.run tb;
+  delivered := [];
+  let frames = ref [] in
+  Medium.add_sniffer (Testbed.medium tb) (fun _ raw -> frames := raw :: !frames);
+  let rng = Fbsr_util.Rng.create 0xb0257 in
+  let payloads =
+    Array.init burst_flows (fun _ -> Fbsr_util.Rng.bytes rng burst_bytes)
+  in
+  let c0 = (Stack.counters a.Testbed.stack).Stack.tx_batched in
+  let held0 = (Host.stats a.Testbed.host).Host.held in
+  Array.iteri
+    (fun i p ->
+      Udp_stack.send a.Testbed.host ~src_port:(5000 + i) ~dst:b_addr ~dst_port:7 p;
+      if stepwise then Testbed.run tb)
+    payloads;
+  Testbed.run tb;
+  let batched = (Stack.counters a.Testbed.stack).Stack.tx_batched - c0 in
+  let held = (Host.stats a.Testbed.host).Host.held - held0 in
+  (a, payloads, List.rev !frames, List.rev !delivered, batched, held)
+
+let test_stack_batched_burst_matches_scalar () =
+  let a1, payloads, frames1, got1, batched1, held1 = send_burst ~stepwise:false in
+  let a2, _, frames2, got2, _, _ = send_burst ~stepwise:true in
+  check Alcotest.int "every datagram framed" (2 * burst_flows) (List.length frames1);
+  check Alcotest.(list string) "wire frames byte-identical" frames2 frames1;
+  check Alcotest.(list (pair int string)) "deliveries identical" got2 got1;
+  check
+    Alcotest.(list (pair int string))
+    "each payload delivered once"
+    (List.init burst_flows (fun i -> (5000 + i, payloads.(i))))
+    (List.sort compare got1);
+  (* 62 enqueues park, the 63rd fills the batch and flushes it, the 64th
+     parks until the same-instant flush event. *)
+  check Alcotest.int "tx_batched" 63 batched1;
+  check Alcotest.int "batched sends are held, not dropped" 63 held1;
+  check Alcotest.int "no hook drops" 0 (Host.stats a1.Testbed.host).Host.drops_hook;
+  let c = Stack.counters a1.Testbed.stack in
+  check Alcotest.int "a batched send is not a resumed one" c.Stack.suspended_out
+    c.Stack.resumed;
+  let blocks a =
+    (Fbsr_fbs.Engine.counters (Stack.engine a.Testbed.stack))
+      .Fbsr_fbs.Engine.batch_bitsliced_blocks
+  in
+  (* The sealed body is the UDP datagram: 8-byte header + payload. *)
+  let per_datagram = ((burst_bytes + 8) / 8) + 1 in
+  check Alcotest.int "63 lanes through the bitsliced kernel" (63 * per_datagram)
+    (blocks a1);
+  check Alcotest.int "one-lane flushes stay scalar" 0 (blocks a2);
+  check Alcotest.int "send batch drained" 0
+    (Fbsr_fbs.Engine.Batch.pending (Stack.tx_batch a1.Testbed.stack))
+
+(* A burst of new flows to a peer whose master key is not cached: every
+   send suspends on the MKD fetch and enqueues into the send batch only
+   from the resumed continuation, in a later event.  More flows than
+   lanes, so the resumed enqueues both fill the batch (capacity flush)
+   and leave a remainder that only the on-park flush event sends.  The
+   receiver's first frames suspend on its own fetch too. *)
+let test_stack_cold_burst combined_fast_path () =
+  let config = Stack.default_config ~combined_fast_path () in
+  let tb, a, b = make_pair ~config () in
+  let flows = Fbsr_crypto.Des_bitslice.lanes + 7 in
+  let got = Array.make flows 0 in
+  Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port d ->
+      let i = src_port - 5000 in
+      if d = Printf.sprintf "cold %d %s" i (String.make 1400 'x') then
+        got.(i) <- got.(i) + 1);
+  for i = 0 to flows - 1 do
+    Udp_stack.send a.Testbed.host ~src_port:(5000 + i) ~dst:(Host.addr b.Testbed.host)
+      ~dst_port:7
+      (Printf.sprintf "cold %d %s" i (String.make 1400 'x'))
+  done;
+  Testbed.run tb;
+  check Alcotest.(array int) "every datagram delivered exactly once"
+    (Array.make flows 1) got;
+  List.iter
+    (fun (n : Testbed.node) ->
+      let c = Stack.counters n.Testbed.stack in
+      check Alcotest.int "send batch drained" 0
+        (Fbsr_fbs.Engine.Batch.pending (Stack.tx_batch n.Testbed.stack));
+      check Alcotest.int "every suspended datagram resumed"
+        (c.Stack.suspended_out + c.Stack.suspended_in)
+        c.Stack.resumed;
+      check Alcotest.int "no stack errors" 0 c.Stack.dropped_error;
+      check Alcotest.int "no hook drops" 0 (Host.stats n.Testbed.host).Host.drops_hook)
+    [ a; b ];
+  let c = Stack.counters a.Testbed.stack in
+  check Alcotest.int "all sends suspended on the fetch" flows c.Stack.suspended_out;
+  (* The resumed enqueues: 62 park, the 63rd flushes, 7 park again. *)
+  check Alcotest.int "late enqueues batched" (flows - 1) c.Stack.tx_batched;
+  check Alcotest.int "suspended sends are held" flows (Host.stats a.Testbed.host).Host.held
+
+(* A datagram that cannot leave (DF set, too big once sealed) fails at
+   its flush, after its sender has returned: it is counted as a stack
+   error, and the datagrams queued with it still go out. *)
+let test_stack_flush_survives_send_error () =
+  let tb, a, b = make_pair () in
+  let b_addr = Host.addr b.Testbed.host in
+  let got = ref [] in
+  Udp_stack.listen b.Testbed.host ~port:7 (fun ~src:_ ~src_port:_ d -> got := d :: !got);
+  Udp_stack.send a.Testbed.host ~src_port:7 ~dst:b_addr ~dst_port:7 "before";
+  Host.ip_output a.Testbed.host ~dont_fragment:true ~protocol:Ipv4.proto_udp ~dst:b_addr
+    (String.make (1500 - Ipv4.header_size) 'D');
+  Udp_stack.send a.Testbed.host ~src_port:8 ~dst:b_addr ~dst_port:7 "after";
+  Testbed.run tb;
+  check Alcotest.(list string) "the others delivered" [ "after"; "before" ] !got;
+  let c = Stack.counters a.Testbed.stack in
+  check Alcotest.int "the oversized one is a stack error" 1 c.Stack.dropped_error;
+  check Alcotest.int "counted by the host too" 1 (Host.stats a.Testbed.host).Host.send_errors;
+  check Alcotest.int "send batch drained" 0
+    (Fbsr_fbs.Engine.Batch.pending (Stack.tx_batch a.Testbed.stack))
+
 (* --- The standalone sweeper (Figure 7) --- *)
 
 let test_stack_sweeper () =
@@ -992,6 +1122,14 @@ let () =
           Alcotest.test_case "standalone sweeper (Figure 7)" `Quick test_stack_sweeper;
           Alcotest.test_case "key-server outage + recovery" `Quick
             test_ca_outage_recovery;
+          Alcotest.test_case "batched burst = one-lane flushes, byte for byte" `Quick
+            test_stack_batched_burst_matches_scalar;
+          Alcotest.test_case "cold burst through the send batch (FAM path)" `Quick
+            (test_stack_cold_burst false);
+          Alcotest.test_case "cold burst through the send batch (fast path)" `Quick
+            (test_stack_cold_burst true);
+          Alcotest.test_case "a send error at flush spares the rest" `Quick
+            test_stack_flush_survives_send_error;
         ] );
       ( "fast-path",
         [

@@ -377,22 +377,48 @@ let test_host_hooks () =
   Udp_stack.install a;
   Udp_stack.install b;
   let out_hook_calls = ref 0 and in_hook_calls = ref 0 in
+  (* The third datagram is held by each hook in turn and finished by the
+     "hook" itself: a held datagram is neither a drop nor lost. *)
+  let held_out = ref None and held_in = ref None in
   Host.set_output_hook a (fun h payload ->
       incr out_hook_calls;
-      Host.Pass (h, payload));
+      if !out_hook_calls = 3 then begin
+        held_out := Some (h, payload);
+        Host.Held "held for later"
+      end
+      else Host.Pass (h, payload));
   Host.set_input_hook b (fun h payload ->
       incr in_hook_calls;
-      if !in_hook_calls = 1 then Host.Drop "first one dropped"
-      else Host.Pass (h, payload));
+      match !in_hook_calls with
+      | 1 -> Host.Drop "first one dropped"
+      | 3 ->
+          held_in := Some (h, payload);
+          Host.Held "held for later"
+      | _ -> Host.Pass (h, payload));
   let got = ref 0 in
   Udp_stack.listen b ~port:7 (fun ~src:_ ~src_port:_ _ -> incr got);
   Udp_stack.send a ~src_port:7 ~dst:addr_b ~dst_port:7 "one";
   Udp_stack.send a ~src_port:7 ~dst:addr_b ~dst_port:7 "two";
+  Udp_stack.send a ~src_port:7 ~dst:addr_b ~dst_port:7 "three";
   Engine.run eng;
-  check Alcotest.int "output hook ran" 2 !out_hook_calls;
+  check Alcotest.int "output hook ran" 3 !out_hook_calls;
   check Alcotest.int "input hook ran" 2 !in_hook_calls;
   check Alcotest.int "one delivered" 1 !got;
-  check Alcotest.int "hook drop counted" 1 (Host.stats b).Host.drops_hook
+  check Alcotest.int "hook drop counted" 1 (Host.stats b).Host.drops_hook;
+  check Alcotest.int "output hold counted" 1 (Host.stats a).Host.held;
+  check Alcotest.int "a hold is not a drop" 0 (Host.stats a).Host.drops_hook;
+  (match !held_out with
+  | Some (h, payload) -> Host.transmit_prepared a h payload
+  | None -> Alcotest.fail "output hook held nothing");
+  Engine.run eng;
+  check Alcotest.int "input hook ran on the finished send" 3 !in_hook_calls;
+  check Alcotest.int "input hold counted" 1 (Host.stats b).Host.held;
+  check Alcotest.int "held input not yet delivered" 1 !got;
+  (match !held_in with
+  | Some (h, payload) -> Host.deliver_up b h payload
+  | None -> Alcotest.fail "input hook held nothing");
+  check Alcotest.int "held datagram delivered" 2 !got;
+  check Alcotest.int "still one drop" 1 (Host.stats b).Host.drops_hook
 
 let test_host_not_mine () =
   let eng, _, _, b = two_hosts () in
